@@ -1,16 +1,31 @@
 #!/usr/bin/env python3
 """Run every verification suite at desk scale and print the reports.
 
-Writes JSON reports next to this script unless --out-dir is given.
-Set BN_LOCUS_THREADS to parallelize across genus values.
+Prints the machine (Python version, usable cores, CPU model) first, so the
+per-suite timings can be compared across hosts.  Writes JSON reports to
+--out-dir when it is given.  Set BN_LOCUS_THREADS to parallelize across
+genus values.
 """
 import argparse
 import json
+import os
 import pathlib
+import platform
 import sys
 import time
 
 from bnlocus import sweep
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
 
 
 def main() -> int:
@@ -25,6 +40,9 @@ def main() -> int:
         ("sigma", lambda: sweep.verify_sigma(4, 20, 8)),
         ("oracle", lambda: sweep.verify_oracle(6, 5)),
     ]
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"machine: python {platform.python_version()}, nproc {nproc}, cpu {cpu_model()!r}, "
+          f"BN_LOCUS_THREADS={os.environ.get('BN_LOCUS_THREADS', '')!r}")
     reports = []
     all_ok = True
     for name, runner in suites:

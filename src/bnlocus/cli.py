@@ -143,16 +143,25 @@ def cmd_enumerate(args) -> int:
 _SUITES = ("prop411", "teixidor", "inclusions", "sigma", "oracle")
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _run_suite(name: str, args) -> sweep.SweepReport:
     if name == "prop411":
-        return sweep.verify_prop_4_11(args.genus_min or 3, args.genus_max or 30, args.max_den or 12)
+        return sweep.verify_prop_4_11(_given(args.genus_min, 3), _given(args.genus_max, 30),
+                                      _given(args.max_den, 12))
     if name == "teixidor":
-        return sweep.verify_teixidor_gap(args.genus_min or 3, args.genus_max or 30, args.max_den or 12)
+        return sweep.verify_teixidor_gap(_given(args.genus_min, 3), _given(args.genus_max, 30),
+                                         _given(args.max_den, 12))
     if name == "inclusions":
-        return sweep.verify_inclusions(args.genus_min or 4, args.genus_max or 20, args.max_den or 8)
+        return sweep.verify_inclusions(_given(args.genus_min, 4), _given(args.genus_max, 20),
+                                       _given(args.max_den, 8))
     if name == "sigma":
-        return sweep.verify_sigma(args.genus_min or 4, args.genus_max or 20, args.max_den or 8)
-    return sweep.verify_oracle(args.genus_max or 6, args.max_rank or 5)
+        return sweep.verify_sigma(_given(args.genus_min, 4), _given(args.genus_max, 20),
+                                  _given(args.max_den, 8))
+    return sweep.verify_oracle(_given(args.genus_max, 6), _given(args.max_rank, 5),
+                               _given(args.genus_min, 2))
 
 
 def cmd_verify(args) -> int:

@@ -8,6 +8,8 @@ region (boundary ``t``) and the hyperelliptic region (boundary ``h``).
 All memberships follow the strict/non-strict inequalities of the source
 criteria exactly, including the isolated excluded corner points.  Everything
 is a pure function of immutable values; region data is cached per genus.
+A private scaled-integer kernel answers the same membership questions on
+points scaled to a common denominator, for the verification sweeps.
 """
 from __future__ import annotations
 
@@ -587,6 +589,247 @@ def in_hyper_strips(g: int, p) -> bool:
         if 2 * s - 2 <= mu < 2 * s - 1 and lam <= mu - s + 1:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# scaled-integer membership kernel
+# ---------------------------------------------------------------------------
+
+
+def _int_line(slope: Fraction, intercept: Fraction, scale: int) -> tuple[int, int, int]:
+    """Line lam = slope*mu + intercept as (den, n, k): at scale D a point
+    (M, L) = (mu*D, lam*D) lies on or below it iff den*L <= n*M + k."""
+    den = math.lcm(slope.denominator, intercept.denominator)
+    return den, int(slope * den), int(intercept * den * scale)
+
+
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ValueError(f"{num}/{den} is not an integer: the value is not a multiple of 1/D")
+    return q
+
+
+def _at_scale(x, scale: int) -> int:
+    """x*D for a rational x that is a multiple of 1/D."""
+    x = Fraction(x)
+    return _exact(x.numerator * scale, x.denominator)
+
+
+@dataclass(frozen=True, slots=True)
+class _IntTile:
+    """A tile at scale D: the abscissae between lo and hi (each end included
+    by its flag), 0 < L on or under the top line, minus the corner point, plus
+    the sliver {M = sliver[0], 0 < L < sliver[1]}."""
+
+    lo: int
+    hi: int
+    lo_in: bool
+    hi_in: bool
+    line: tuple[int, int, int]
+    corner: tuple[int, int] | None
+    sliver: tuple[int, int] | None
+
+    @classmethod
+    def of(cls, tile: Tile, scale: int) -> "_IntTile":
+        lo, hi, top = tile.lo * scale, (tile.lo + 1) * scale, tile.s * scale
+        line = _int_line(tile.slope, tile.intercept, scale)
+        if tile.kind == "bgn":
+            return cls(lo, hi, False, True, line, (hi, top), None)
+        if tile.kind == "m":
+            return cls(lo, hi, False, False, line, None, (hi, top))
+        return cls(lo, hi, True, False, line, (lo, top), (hi, top))
+
+    def contains(self, M: int, L: int) -> bool:
+        if L <= 0:
+            return False
+        lo, hi = self.lo, self.hi
+        den, n, k = self.line
+        if ((lo < M or (self.lo_in and M == lo)) and (M < hi or (self.hi_in and M == hi))
+                and den * L <= n * M + k and (M, L) != self.corner):
+            return True
+        sliver = self.sliver
+        return sliver is not None and M == sliver[0] and L < sliver[1]
+
+    def top(self, M: int) -> int:
+        den, n, k = self.line
+        return _exact(n * M + k, den)
+
+    def shifted(self, d_scaled: int, s: int) -> "_IntTile":
+        """Image under T: (M, L) -> (M + d_scaled, s*L)."""
+        den, n, k = self.line
+
+        def move(q):
+            return None if q is None else (q[0] + d_scaled, s * q[1])
+
+        return _IntTile(self.lo + d_scaled, self.hi + d_scaled, self.lo_in, self.hi_in,
+                        (den, s * n, s * (k - n * d_scaled)), move(self.corner), move(self.sliver))
+
+    def reflected(self, gd: int) -> "_IntTile":
+        """Image under the duality (M, L) -> (2gd - M, L + gd - M), with gd = (g-1)*D,
+        clipped to L > 0 (the U tiles are the reflections cut off at lam = 0)."""
+        den, n, k = self.line
+
+        def flip(q):
+            return None if q is None else (2 * gd - q[0], q[1] + gd - q[0])
+
+        return _IntTile(2 * gd - self.hi, 2 * gd - self.lo, self.hi_in, self.lo_in,
+                        (den, den - n, 2 * n * gd + k - den * gd), flip(self.corner), flip(self.sliver))
+
+
+class _IntBoundary:
+    """A :class:`BoundaryFn` at scale D, with the same endpoint ownership."""
+
+    __slots__ = ("lo", "hi", "los", "pieces")
+
+    def __init__(self, fn: BoundaryFn, scale: int):
+        self.lo, self.hi = _at_scale(fn.domain_lo, scale), _at_scale(fn.domain_hi, scale)
+        self.los = [_at_scale(p.lo, scale) for p in fn.pieces]
+        self.pieces = [(lo, p.include_lo, _int_line(p.slope, p.intercept, scale))
+                       for lo, p in zip(self.los, fn.pieces)]
+
+    def line_at(self, M: int) -> tuple[int, int, int]:
+        if not (self.lo < M < self.hi):
+            raise ValueError(f"{M} outside the scaled domain ({self.lo}, {self.hi})")
+        i = bisect_right(self.los, M) - 1
+        lo, include_lo, line = self.pieces[i]
+        if M == lo and not include_lo:
+            line = self.pieces[i - 1][2]
+        return line
+
+    def value(self, M: int) -> int:
+        """The boundary value at M, scaled by D; raises unless it is a multiple of 1/D."""
+        den, n, k = self.line_at(M)
+        return _exact(n * M + k, den)
+
+    def below(self, M: int, L: int) -> bool:
+        """L <= boundary(M), at scale D."""
+        den, n, k = self.line_at(M)
+        return den * L <= n * M + k
+
+
+class _IntKernel:
+    """Integer membership tests of one genus on points (M, L) = (mu*D, lam*D).
+
+    Answers what :func:`in_bmno`, :func:`in_teixidor`, :func:`in_bmno_h`, the
+    four shifted/reflected tile tests, :func:`rho_tilde` and
+    :func:`serre_dual_point` answer on the point (M/D, L/D), without building
+    a Fraction.  The tables are derived from :func:`bmno_tiles`,
+    :func:`bmno_boundary` and :func:`line_degree_bound_int`; the shifted
+    tiles are images of the first BGN and M tiles under T, and the reflected
+    ones their duality images.  Those Fraction functions stay the reference.
+    """
+
+    def __init__(self, g: int, scale: int):
+        check_genus(g, 3)
+        if scale < 1:
+            raise ValueError(f"scale must be >= 1, got {scale}")
+        self.g, self.D = g, scale
+        self.gd = (g - 1) * scale
+        self._tiles = [_IntTile.of(t, scale) for t in bmno_tiles(g)]  # sorted by lo
+        base = {(t.kind, t.lo): it for t, it in zip(bmno_tiles(g), self._tiles)}
+        self._base = {"bgn": base["bgn", 0], "m": base["m", 1]}
+        self.f = _IntBoundary(bmno_boundary(g), scale)
+        self._columns = {}  # threshold column M -> its section count s
+        s = 1
+        while line_degree_bound_int(g, s) <= g - 1:
+            self._columns[line_degree_bound_int(g, s) * scale] = s
+            s += 1
+        self._hyper = [None] + [(self.shifted_tile("bgn", 2 * s - 2, s), self.shifted_tile("m", 2 * s - 2, s))
+                                for s in range(1, g)]
+
+    def scaled(self, fn: BoundaryFn) -> _IntBoundary:
+        return _IntBoundary(fn, self.D)
+
+    def at_scale(self, x) -> int:
+        """x*D; raises unless the rational x is a multiple of 1/D."""
+        return _at_scale(x, self.D)
+
+    def shifted_tile(self, kind: str, d_shift: int, s: int) -> _IntTile:
+        """:func:`in_translated_bgn` (kind 'bgn') or :func:`in_translated_m` (kind 'm')."""
+        if s < 1:
+            raise ValueError(f"section multiplier must be >= 1, got {s}")
+        return self._base[kind].shifted(d_shift * self.D, s)
+
+    def reflected_tile(self, kind: str, d_shift: int, s: int) -> _IntTile:
+        """:func:`in_u_bgn_half` (kind 'bgn') or :func:`in_u_m_half` (kind 'm')."""
+        return self.shifted_tile(kind, d_shift, s).reflected(self.gd)
+
+    def dual(self, M: int, L: int) -> tuple[int, int]:
+        return 2 * self.gd - M, L + self.gd - M
+
+    def rho_tilde(self, M: int, L: int) -> int:
+        """:func:`rho_tilde` scaled by D**2."""
+        return self.gd * self.D - L * (L - M + self.gd)
+
+    def _in_tiles_half(self, M: int, L: int) -> bool:
+        if not (0 < M <= self.gd) or L <= 0:
+            return False
+        for t in self._tiles:
+            if t.lo > M:
+                break
+            if t.contains(M, L):
+                return True
+        return False
+
+    def _left_half(self, M: int, L: int, semistable: bool) -> bool:
+        D = self.D
+        if not (0 <= M <= self.gd and 0 < L):
+            return False
+        s = self._columns.get(M)
+        if semistable and s is not None and L <= s * D:
+            return True
+        if M == 0 or not self.f.below(M, L):
+            return False
+        if semistable:
+            return True
+        if s is not None and self.g * L > (s - 1) * (self.g + 1) * D:
+            return False
+        if L % D == 0:
+            sc = self._columns.get(M - D)
+            if sc is not None and L == sc * D:
+                return False
+        return True
+
+    def in_bmno(self, M: int, L: int, mode: BmnoMode) -> bool:
+        SM, SL = self.dual(M, L)
+        if mode is BmnoMode.STABLE:
+            if self._in_tiles_half(M, L) or self._in_tiles_half(SM, SL):
+                return True
+            return self.g == 3 and (M, L) == (2 * self.D, self.D)
+        semistable = mode is BmnoMode.SEMISTABLE
+        return self._left_half(M, L, semistable) or self._left_half(SM, SL, semistable)
+
+    def in_teixidor(self, M: int, L: int, stability: Stability) -> bool:
+        if L <= 0:
+            raise ValueError(f"requires lam > 0, got {L}/{self.D}")
+        D = self.D
+        floor_mu, floor_lam = M - M % D, L - L % D
+        if L == floor_lam:
+            ok = self.rho_tilde(floor_mu, L) >= 0
+        elif L - floor_lam <= M - floor_mu:
+            ok = self.rho_tilde(floor_mu + D, floor_lam + D) >= 0
+        else:
+            ok = self.rho_tilde(floor_mu, floor_lam + D) >= 0
+        if not ok:
+            return False
+        if stability is Stability.STABLE and L == floor_lam and M == floor_mu:
+            dual_mu, dual_lam = self.dual(M, L)
+            if self.rho_tilde(M - D, L) < 0 and self.rho_tilde(dual_mu - D, dual_lam) < 0:
+                return False
+        return True
+
+    def in_bmno_h(self, M: int, L: int) -> bool:
+        D, gd = self.D, self.gd
+        if not (M < L + gd and M >= 2 * L - 2 * D and 0 < M <= 2 * gd and L > 0):
+            return False
+        s = max(1, -(-M // (2 * D)))
+        if s > self.g - 1:
+            return False
+        bgn, m = self._hyper[s]
+        if bgn.contains(M, L) or m.contains(M, L):
+            return True
+        return M == 2 * s * D and L == s * D
 
 
 # ---------------------------------------------------------------------------

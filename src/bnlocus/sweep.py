@@ -8,6 +8,16 @@ membership along a vertical line only changes at the finitely many tops
 and integer levels, so testing those values and small offsets around them
 covers every case a blind denominator grid would reach.
 
+The duality and inclusion sweeps run in integers.  With the height offset
+1/(c*g), each genus takes the common denominator D = g*lcm(1..max_den, c),
+at which every sampled slope, boundary value, tile top and offset is an
+integer; a sample that is not a multiple of 1/D raises.  Every
+membership test then goes through the scaled-integer kernel of
+:mod:`bnlocus.regions`, which is built once per genus from the same tile and
+boundary data as the public Fraction functions.  Those functions stay the
+reference: a differential test holds the kernel to them, and points are
+turned back into Fractions only to write a failure record.
+
 Set ``BN_LOCUS_THREADS`` to split per-genus work across processes; the
 merged report is identical either way.
 """
@@ -15,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,21 +36,16 @@ from .arith import (
     hyper_h0_bound,
     line_degree_bound_int,
     rho_tilde,
-    serre_dual_point,
     serre_dual_triple,
 )
 from .oracle import Classification, ContradictionError, CurveClass, Verdict, classify
 from .regions import (
     BmnoMode,
+    _IntKernel,
     bmno_boundary,
     hyper_boundary,
     in_bmno,
-    in_bmno_h,
     in_teixidor,
-    in_translated_bgn,
-    in_translated_m,
-    in_u_bgn_half,
-    in_u_m_half,
     teixidor_boundary,
     u_params,
 )
@@ -116,16 +120,20 @@ def rationals_between(lo, hi, max_den: int, include_lo=False, include_hi=False) 
     return sorted(out)
 
 
-def _lam_samples(tops, levels, delta: Fraction) -> list[Fraction]:
-    """One height per membership cell: each top and level, straddled by delta."""
-    out = set()
-    for v in list(tops) + [Fraction(x) for x in levels]:
-        v = Fraction(v)
+def _lam_samples(values, delta: int) -> list[int]:
+    """One height per membership cell: each top and level, straddled by delta
+    (all at the sweep's common denominator)."""
+    out = {delta}
+    for v in values:
         for cand in (v - delta, v, v + delta):
             if cand > 0:
                 out.add(cand)
-    out.add(delta)
     return sorted(out)
+
+
+def _point(M: int, L: int, D: int) -> BNPoint:
+    """The point (M/D, L/D), for failure records."""
+    return BNPoint(Fraction(M, D), Fraction(L, D))
 
 
 def _threads() -> int:
@@ -136,12 +144,21 @@ def _threads() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ValueError(f"BN_LOCUS_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    if n < 1:
+        raise ValueError(f"BN_LOCUS_THREADS must be >= 1, got {n}")
+    return n
+
+
+def _check_max_den(max_den: int) -> None:
+    if max_den < 1:
+        raise ValueError(f"max_den must be >= 1, got {max_den}")
 
 
 def _run_per_genus(fn, genera, report: SweepReport) -> SweepReport:
     workers = _threads()
     if workers > 1 and len(genera) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for sub in pool.map(fn, genera):
                 report.merge(sub)
@@ -178,6 +195,7 @@ def verify_prop_4_11(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> SweepR
     and less than one below it, at every grid point and breakpoint."""
     if not (3 <= g_lo <= g_hi):
         raise ValueError("need 3 <= g_lo <= g_hi")
+    _check_max_den(max_den)
     rep = SweepReport("boundary_gap_f", g_lo, g_hi, max_den)
     return _run_per_genus(_prop_boundary_gap_one_genus,
                           [(g, max_den, "boundary_gap_f") for g in range(g_lo, g_hi + 1)], rep)
@@ -188,6 +206,7 @@ def verify_teixidor_gap(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> Swe
     continuity and monotonicity."""
     if not (3 <= g_lo <= g_hi):
         raise ValueError("need 3 <= g_lo <= g_hi")
+    _check_max_den(max_den)
     rep = SweepReport("boundary_gap_t", g_lo, g_hi, max_den)
     rep = _run_per_genus(_prop_boundary_gap_one_genus,
                          [(g, max_den, "boundary_gap_t") for g in range(g_lo, g_hi + 1)], rep)
@@ -219,28 +238,28 @@ def verify_teixidor_gap(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> Swe
 def _inclusions_one_genus(args) -> SweepReport:
     g, max_den = args
     rep = SweepReport("inclusions", g, g, max_den)
-    delta = Fraction(1, 8 * g)
+    D = g * math.lcm(*range(1, max_den + 1), 8)
+    k = _IntKernel(g, D)
+    delta = D // (8 * g)
 
     # chain: shifted-BGN inside shifted-M inside next shifted-BGN
     for s in range(1, g):
         for dp in range(0, g - 2):
-            mus = rationals_between(dp + 1, dp + 2, max_den, include_hi=True)
-            for mu in mus:
-                tops = [
-                    Fraction(s, g) * (mu - dp - 2) + s,
-                    Fraction(s, g) * (mu - dp - 1) + s,
-                    Fraction(s + 1, g) * (mu - dp - 2) + s + 1,
-                ]
-                for lam in _lam_samples(tops, [s, s + 1], delta):
-                    p = BNPoint(mu, lam)
+            inner_t = k.shifted_tile("bgn", dp + 1, s)
+            mid_t = k.shifted_tile("m", dp, s)
+            outer_t = k.shifted_tile("bgn", dp + 1, s + 1)
+            for mu in rationals_between(dp + 1, dp + 2, max_den, include_hi=True):
+                M = k.at_scale(mu)
+                tops = [inner_t.top(M), mid_t.top(M), outer_t.top(M), s * D, (s + 1) * D]
+                for L in _lam_samples(tops, delta):
                     rep.checks_run += 1
-                    inner = in_translated_bgn(g, dp + 1, s, p)
-                    mid = in_translated_m(g, dp, s, p)
-                    outer = in_translated_bgn(g, dp + 1, s + 1, p)
+                    inner = inner_t.contains(M, L)
+                    mid = mid_t.contains(M, L)
+                    outer = outer_t.contains(M, L)
                     if inner and not mid:
-                        rep.record(f"g={g} d'={dp} s={s} p={p}", "inner tile inside shifted-M", "outside")
+                        rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", "inner tile inside shifted-M", "outside")
                     if mid and not outer:
-                        rep.record(f"g={g} d'={dp} s={s} p={p}", "shifted-M inside next tile", "outside")
+                        rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", "shifted-M inside next tile", "outside")
 
     # reflected-M tile lands in the shifted-BGN tile (plus its sliver)
     for s in range(1, g):
@@ -253,16 +272,17 @@ def _inclusions_one_genus(args) -> SweepReport:
             rep.checks_run += 1
             if d1 - 1 < line_degree_bound_int(g, s1):
                 rep.record(f"g={g} d'={dp} s={s}", "d1-1 above the threshold", f"d1={d1}")
+            reflected = k.reflected_tile("m", dp, s)
+            target = k.shifted_tile("bgn", d1 - 1, s1)
             for mu in rationals_between(d1 - 1, d1, max_den, include_lo=True):
-                tops = [(1 - Fraction(s, g)) * (mu - d1) + s1,
-                        Fraction(s1, g) * (mu - d1) + s1]
-                for lam in _lam_samples(tops, [s1 - 1, s1], delta):
-                    p = BNPoint(mu, lam)
+                M = k.at_scale(mu)
+                tops = [reflected.top(M), target.top(M), (s1 - 1) * D, s1 * D]
+                for L in _lam_samples(tops, delta):
                     rep.checks_run += 1
-                    if in_u_m_half(g, dp, s, p):
-                        ok = in_translated_bgn(g, d1 - 1, s1, p) or (mu == d1 - 1 and 0 < lam < s1 - 1)
+                    if reflected.contains(M, L):
+                        ok = target.contains(M, L) or (M == (d1 - 1) * D and 0 < L < (s1 - 1) * D)
                         if not ok:
-                            rep.record(f"g={g} d'={dp} s={s} p={p}",
+                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}",
                                        "reflected-M point covered", "uncovered")
 
     # reflected-BGN tile lands in the next shifted-BGN tile when past the threshold
@@ -271,16 +291,17 @@ def _inclusions_one_genus(args) -> SweepReport:
             d1, s1 = u_params(g, dp, s)
             if d1 < line_degree_bound_int(g, s1 + 1):
                 continue
+            reflected = k.reflected_tile("bgn", dp, s)
+            target = k.shifted_tile("bgn", d1, s1 + 1)
             for mu in rationals_between(d1, d1 + 1, max_den, include_lo=True):
-                tops = [(1 - Fraction(s, g)) * (mu - d1) + s1,
-                        Fraction(s1 + 1, g) * (mu - d1 - 1) + s1 + 1]
-                for lam in _lam_samples(tops, [s1, s1 + 1], delta):
-                    p = BNPoint(mu, lam)
+                M = k.at_scale(mu)
+                tops = [reflected.top(M), target.top(M), s1 * D, (s1 + 1) * D]
+                for L in _lam_samples(tops, delta):
                     rep.checks_run += 1
-                    if in_u_bgn_half(g, dp, s, p):
-                        ok = in_translated_bgn(g, d1, s1 + 1, p) or (mu == d1 and 0 < lam < s1)
+                    if reflected.contains(M, L):
+                        ok = target.contains(M, L) or (M == d1 * D and 0 < L < s1 * D)
                         if not ok:
-                            rep.record(f"g={g} d'={dp} s={s} p={p}",
+                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}",
                                        "reflected-BGN point covered", "uncovered")
 
     # replacement step: the last shifted-M tile of a chain sits inside the
@@ -290,16 +311,17 @@ def _inclusions_one_genus(args) -> SweepReport:
             d1, s1 = u_params(g, dp, s)
             if s1 < 1 or d1 + 1 != line_degree_bound_int(g, s1 + 1) or d1 + 1 > g - 1:
                 continue
+            replacement = k.reflected_tile("bgn", dp, s)
+            last = k.shifted_tile("m", d1 - 1, s1)
             for mu in rationals_between(d1, d1 + 1, max_den, include_hi=True):
-                tops = [(1 - Fraction(s, g)) * (mu - d1) + s1,
-                        Fraction(s1, g) * (mu - d1) + s1]
-                for lam in _lam_samples(tops, [s1 - 1, s1], delta):
-                    p = BNPoint(mu, lam)
+                M = k.at_scale(mu)
+                tops = [replacement.top(M), last.top(M), (s1 - 1) * D, s1 * D]
+                for L in _lam_samples(tops, delta):
                     rep.checks_run += 1
-                    if in_translated_m(g, d1 - 1, s1, p):
-                        ok = in_u_bgn_half(g, dp, s, p) or (mu == d1 + 1 and 0 < lam < s1)
+                    if last.contains(M, L):
+                        ok = replacement.contains(M, L) or (M == (d1 + 1) * D and 0 < L < s1 * D)
                         if not ok:
-                            rep.record(f"g={g} d'={dp} s={s} p={p}",
+                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}",
                                        "last chain tile inside the replacement", "uncovered")
     return rep
 
@@ -308,6 +330,7 @@ def verify_inclusions(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepR
     """Tile-inclusion chain and the three reflected-tile coverage facts."""
     if not (4 <= g_lo <= g_hi):
         raise ValueError("need 4 <= g_lo <= g_hi")
+    _check_max_den(max_den)
     rep = SweepReport("inclusions", g_lo, g_hi, max_den)
     return _run_per_genus(_inclusions_one_genus,
                           [(g, max_den) for g in range(g_lo, g_hi + 1)], rep)
@@ -321,38 +344,40 @@ def verify_inclusions(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepR
 def _sigma_one_genus(args) -> SweepReport:
     g, max_den = args
     rep = SweepReport("sigma", g, g, max_den)
-    f = bmno_boundary(g)
-    t = teixidor_boundary(g)
-    h = hyper_boundary(g)
-    delta = Fraction(1, max(8, max_den) * g)
+    D = g * math.lcm(*range(1, max_den + 1), max(8, max_den))
+    k = _IntKernel(g, D)
+    f, t, h = k.f, k.scaled(teixidor_boundary(g)), k.scaled(hyper_boundary(g))
+    delta = D // (max(8, max_den) * g)
+    modes, stabilities = list(BmnoMode), list(Stability)
+
     for mu in rationals_between(0, 2 * g - 2, max_den):
-        fv, tv, hv = f(mu), t(mu), h(mu)
+        M = k.at_scale(mu)
+        fv, tv, hv = f.value(M), t.value(M), h.value(M)
         # graph of the assembled boundary is its own reflection
         rep.checks_run += 1
-        ref = f(2 * g - 2 - mu) + mu - (g - 1)
+        ref = f.value(2 * k.gd - M) + M - k.gd
         if ref != fv:
             rep.record(f"g={g} mu={format_rat(mu)}", "reflection-invariant boundary",
-                       f"{format_rat(fv)} vs {format_rat(ref)}")
-        top = max(fv, tv, hv)
-        levels = list(range(1, min(g, math.ceil(top) + 2) + 1))
-        for lam in _lam_samples([fv, tv, hv], levels, delta):
-            p = BNPoint(mu, lam)
-            sp = serre_dual_point(g, p)
+                       f"{format_rat(Fraction(fv, D))} vs {format_rat(Fraction(ref, D))}")
+        top = -(-max(fv, tv, hv) // D)
+        levels = [x * D for x in range(1, min(g, top + 2) + 1)]
+        for L in _lam_samples([fv, tv, hv] + levels, delta):
+            SM, SL = k.dual(M, L)
             rep.checks_run += 1
-            if rho_tilde(g, p) != rho_tilde(g, sp):
-                rep.record(f"g={g} p={p}", "rho~ invariant", "differs")
-            for mode in BmnoMode:
+            if k.rho_tilde(M, L) != k.rho_tilde(SM, SL):
+                rep.record(f"g={g} p={_point(M, L, D)}", "rho~ invariant", "differs")
+            for mode in modes:
                 rep.checks_run += 1
-                if in_bmno(g, p, mode) != in_bmno(g, sp, mode):
-                    rep.record(f"g={g} p={p} mode={mode.value}", "membership invariant", "differs")
-            if sp.lam > 0:
-                for st in Stability:
+                if k.in_bmno(M, L, mode) != k.in_bmno(SM, SL, mode):
+                    rep.record(f"g={g} p={_point(M, L, D)} mode={mode.value}", "membership invariant", "differs")
+            if SL > 0:
+                for st in stabilities:
                     rep.checks_run += 1
-                    if in_teixidor(g, p, st) != in_teixidor(g, sp, st):
-                        rep.record(f"g={g} p={p} {st.value}", "membership invariant", "differs")
+                    if k.in_teixidor(M, L, st) != k.in_teixidor(SM, SL, st):
+                        rep.record(f"g={g} p={_point(M, L, D)} {st.value}", "membership invariant", "differs")
             rep.checks_run += 1
-            if in_bmno_h(g, p) != in_bmno_h(g, sp):
-                rep.record(f"g={g} p={p}", "membership invariant", "differs")
+            if k.in_bmno_h(M, L) != k.in_bmno_h(SM, SL):
+                rep.record(f"g={g} p={_point(M, L, D)}", "membership invariant", "differs")
     return rep
 
 
@@ -361,6 +386,7 @@ def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport
     its duality reflection; the assembled boundary graph is self-dual."""
     if not (3 <= g_lo <= g_hi):
         raise ValueError("need 3 <= g_lo <= g_hi")
+    _check_max_den(max_den)
     rep = SweepReport("sigma", g_lo, g_hi, max_den)
     return _run_per_genus(_sigma_one_genus, [(g, max_den) for g in range(g_lo, g_hi + 1)], rep)
 
@@ -417,11 +443,15 @@ def _oracle_one_genus(args) -> SweepReport:
     return rep
 
 
-def verify_oracle(g_max: int = 6, n_max: int = 5) -> SweepReport:
+def verify_oracle(g_max: int = 6, n_max: int = 5, g_lo: int = 2) -> SweepReport:
     """No contradictions, section-count monotonicity, duality consistency,
     hyperelliptic sharpness and Clifford soundness over the full window."""
-    rep = SweepReport("oracle", 2, g_max, n_max)
-    return _run_per_genus(_oracle_one_genus, [(g, n_max) for g in range(2, g_max + 1)], rep)
+    if not (2 <= g_lo <= g_max):
+        raise ValueError("need 2 <= g_lo <= g_max")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    rep = SweepReport("oracle", g_lo, g_max, n_max)
+    return _run_per_genus(_oracle_one_genus, [(g, n_max) for g in range(g_lo, g_max + 1)], rep)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,22 @@ def test_enumerate_csv(capsys, tmp_path):
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "prop411", "--genus-max", "8")
     assert code == 0 and "PASS" in out
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--genus-min", "4",
+                       "--genus-max", "4", "--max-rank", "1")
+    assert code == 0 and out.startswith("oracle: genus 4..4, den<=1, ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "sigma", "--genus-min", "0", "--max-den", "0"),
+    ("--suite", "sigma", "--genus-min", "4", "--genus-max", "4", "--max-den", "0"),
+    ("--suite", "inclusions", "--genus-max", "0"),
+    ("--suite", "prop411", "--genus-min", "3", "--genus-max", "3", "--max-den", "0"),
+    ("--suite", "oracle", "--genus-min", "0"),
+    ("--suite", "oracle", "--genus-max", "3", "--max-rank", "0"),
+])
+def test_verify_explicit_zero_exits_one(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_compare_json(capsys):

@@ -43,16 +43,38 @@ def test_teixidor_gap_small():
 def test_inclusions_small():
     rep = verify_inclusions(4, 8, 6)
     assert rep.passed
+    # the report of the Fraction-based sweep, before it ran on the integer kernel
+    assert rep.to_json_dict() == {"suite": "inclusions", "genus_lo": 4, "genus_hi": 8, "max_denominator": 6,
+                                  "checks_run": 26668, "failure_count": 0, "failures": []}
 
 
 def test_sigma_small():
     rep = verify_sigma(4, 6, 5)
     assert rep.passed
+    # the report of the Fraction-based sweep, before it ran on the integer kernel
+    assert rep.to_json_dict() == {"suite": "sigma", "genus_lo": 4, "genus_hi": 6, "max_denominator": 5,
+                                  "checks_run": 32726, "failure_count": 0, "failures": []}
 
 
 def test_oracle_sweep_small():
     rep = verify_oracle(4, 3)
     assert rep.passed
+    part = verify_oracle(4, 3, g_lo=3)
+    assert (part.genus_lo, part.genus_hi) == (3, 4) and 0 < part.checks_run < rep.checks_run
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_prop_4_11(3, 4, 0),
+    lambda: verify_teixidor_gap(3, 4, 0),
+    lambda: verify_inclusions(4, 4, -3),
+    lambda: verify_sigma(4, 4, 0),
+    lambda: verify_oracle(4, 0),
+    lambda: verify_oracle(4, 3, g_lo=1),
+    lambda: verify_oracle(4, 3, g_lo=5),
+])
+def test_sweep_window_validation(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_reports_are_deterministic():
@@ -66,12 +88,18 @@ def test_parallel_matches_sequential(monkeypatch):
     monkeypatch.setenv("BN_LOCUS_THREADS", "3")
     parallel = verify_prop_4_11(3, 8, 6).to_json_dict()
     assert json.dumps(sequential) == json.dumps(parallel)
+    monkeypatch.delenv("BN_LOCUS_THREADS")
+    sequential = verify_sigma(4, 6, 4).to_json_dict()
+    monkeypatch.setenv("BN_LOCUS_THREADS", "2")
+    parallel = verify_sigma(4, 6, 4).to_json_dict()
+    assert json.dumps(sequential) == json.dumps(parallel)
 
 
 def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("BN_LOCUS_THREADS", "many")
-    with pytest.raises(ValueError):
-        verify_prop_4_11(3, 4, 4)
+    for raw in ("many", "0", "-5"):
+        monkeypatch.setenv("BN_LOCUS_THREADS", raw)
+        with pytest.raises(ValueError):
+            verify_prop_4_11(3, 4, 4)
 
 
 def test_enumerate_rows_and_order():

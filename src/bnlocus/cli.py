@@ -143,25 +143,23 @@ def cmd_enumerate(args) -> int:
 _SUITES = ("prop411", "teixidor", "inclusions", "sigma", "oracle")
 
 
-def _given(value, default):
-    return default if value is None else value
+def _given(args, **params) -> dict:
+    """Keyword arguments for the options the user gave, keyed by parameter
+    name, so that each default lives only in the sweep function's signature."""
+    return {param: getattr(args, opt) for param, opt in params.items() if getattr(args, opt) is not None}
 
 
 def _run_suite(name: str, args) -> sweep.SweepReport:
+    if name == "oracle":
+        return sweep.verify_oracle(**_given(args, g_lo="genus_min", g_max="genus_max", n_max="max_rank"))
+    window = _given(args, g_lo="genus_min", g_hi="genus_max", max_den="max_den")
     if name == "prop411":
-        return sweep.verify_prop_4_11(_given(args.genus_min, 3), _given(args.genus_max, 30),
-                                      _given(args.max_den, 12))
+        return sweep.verify_prop_4_11(**window)
     if name == "teixidor":
-        return sweep.verify_teixidor_gap(_given(args.genus_min, 3), _given(args.genus_max, 30),
-                                         _given(args.max_den, 12))
+        return sweep.verify_teixidor_gap(**window)
     if name == "inclusions":
-        return sweep.verify_inclusions(_given(args.genus_min, 4), _given(args.genus_max, 20),
-                                       _given(args.max_den, 8))
-    if name == "sigma":
-        return sweep.verify_sigma(_given(args.genus_min, 4), _given(args.genus_max, 20),
-                                  _given(args.max_den, 8))
-    return sweep.verify_oracle(_given(args.genus_max, 6), _given(args.max_rank, 5),
-                               _given(args.genus_min, 2))
+        return sweep.verify_inclusions(**window)
+    return sweep.verify_sigma(**window)
 
 
 def cmd_verify(args) -> int:
@@ -175,7 +173,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    comparison = sweep.compare_regions(args.genus, args.max_den or 8)
+    comparison = sweep.compare_regions(args.genus, **_given(args, max_den="max_den"))
     _write_output(_dump_json(comparison.to_json_dict()), args.out)
     return 0
 

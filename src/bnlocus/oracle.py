@@ -9,7 +9,10 @@ not a decision procedure for the whole plane.
 
 Duality is applied at depth exactly one (it is an involution), and for an
 arbitrary curve a dichotomy step may combine the hyperelliptic and
-non-hyperelliptic classifications when they agree.
+non-hyperelliptic classifications when they agree.  Both go through one
+function, ``_evidence``: it gathers the direct and dichotomy evidence of a
+triple and adds the serre step, both for the requested class and for each
+side of the dichotomy.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .arith import (
     rho,
     serre_dual_triple,
 )
-from .regions import in_teixidor
+from .regions import hyper_strip, in_teixidor
 
 
 class CurveClass(Enum):
@@ -377,17 +380,13 @@ def _rule_hyper_strips(g, t, c, m):
     if not _hyper_rules_allowed(g, c) or t.k < 1 or t.d < 0:
         return []
     n, d, k = t.n, t.d, t.k
-    mu, lam = t.mu, t.lam
     out = []
-    for s in range(1, g):
-        if 2 * s - 1 < mu <= 2 * s and lam <= s:
-            out.append(_ev("hyper_strip", "nonempty",
-                           "settled hyperelliptic band below the integer section level", s=s))
-            break
-        if 2 * s - 2 <= mu < 2 * s - 1 and lam <= mu - s + 1:
-            out.append(_ev("hyper_strip", "nonempty",
-                           "duality image of the settled hyperelliptic band", s=s))
-            break
+    strip = hyper_strip(g, t.mu, t.lam)
+    if strip is not None:
+        s, dual = strip
+        cite = ("duality image of the settled hyperelliptic band" if dual
+                else "settled hyperelliptic band below the integer section level")
+        out.append(_ev("hyper_strip", "nonempty", cite, s=s))
     if d % n == 0 and (d // n) % 2 == 1:  # integral odd slope 2s-1
         s = (d // n + 1) // 2
         if 1 <= s <= g - 1:
@@ -406,7 +405,7 @@ def _rule_hyper_strips(g, t, c, m):
                                "stable bundles with sn-1 sections exist at every odd slope 2s-1", s=s))
     if m is Stability.SEMISTABLE and d % (2 * n) == 0:
         s = d // (2 * n)
-        if 0 <= s <= g - 1 and s < lam <= s + 1:
+        if 0 <= s <= g - 1 and s < t.lam <= s + 1:
             out.append(_ev("hyper_semistable_segment", "nonempty",
                            "semistable even-slope segment up to the Clifford level", s=s))
     return out
@@ -481,8 +480,8 @@ def _core_evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evid
 def _dichotomy_evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence, ...]:
     if c is not CurveClass.ARBITRARY or g < 3:
         return ()
-    hyp = _resolve(g, t, CurveClass.HYPERELLIPTIC, m, with_serre=True, with_dichotomy=False)
-    non = _resolve(g, t, CurveClass.NON_HYPERELLIPTIC, m, with_serre=True, with_dichotomy=False)
+    hyp, non = (_combine(_evidence(g, t, cc, m), f"{t} [{cc.value},{m.value}]")
+                for cc in (CurveClass.HYPERELLIPTIC, CurveClass.NON_HYPERELLIPTIC))
     cite = "every curve is hyperelliptic or not, and both cases agree"
     params = {"hyperelliptic": hyp.value, "non_hyperelliptic": non.value}
     if hyp is Verdict.EMPTY and non is Verdict.EMPTY:
@@ -506,42 +505,32 @@ def _combine(evidence: tuple[Evidence, ...], where: str) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def _resolve(g, t, c, m, *, with_serre: bool, with_dichotomy: bool) -> Verdict:
-    ev = list(_core_evidence(g, t, c, m))
-    if with_dichotomy:
-        ev.extend(_dichotomy_evidence(g, t, c, m))
-    if with_serre:
-        dual = serre_dual_triple(g, t)
-        dual_ev = _core_evidence(g, dual, c, m)
-        verdict = _combine(dual_ev, f"{dual} [{c.value},{m.value}]")
-        if verdict in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE):
-            ev.append(_ev("serre", "nonempty", "duality carries nonemptiness across the reflection"))
-        elif verdict is Verdict.EMPTY:
-            ev.append(_ev("serre", "empty", "duality carries emptiness across the reflection"))
-    return _combine(tuple(ev), f"{t} [{c.value},{m.value}]")
+def _evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence, ...]:
+    """The direct and dichotomy evidence for t, then the serre step.
+
+    This is the oracle's one duality step, applied at depth one: the dual
+    triple's verdict comes from its own direct and dichotomy evidence, with no
+    serre step of its own, and is carried back across the reflection.
+    """
+    evidence = _core_evidence(g, t, c, m) + _dichotomy_evidence(g, t, c, m)
+    dual = serre_dual_triple(g, t)
+    dual_ev = _core_evidence(g, dual, c, m) + _dichotomy_evidence(g, dual, c, m)
+    dual_verdict = _combine(dual_ev, f"{dual} [{c.value},{m.value}]")
+    if dual_verdict in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE):
+        primary = next(e.rule for e in dual_ev if e.kind in ("nonempty", "wholespace"))
+        evidence += (_ev("serre", "nonempty", "duality carries nonemptiness across the reflection",
+                         dual=str(dual), dual_rule=primary),)
+    elif dual_verdict is Verdict.EMPTY:
+        primary = next(e.rule for e in dual_ev if e.kind == "empty")
+        evidence += (_ev("serre", "empty", "duality carries emptiness across the reflection",
+                         dual=str(dual), dual_rule=primary),)
+    return evidence
 
 
 @lru_cache(maxsize=None)
 def _classify_cached(g: int, t: Triple, c: CurveClass, m: Stability) -> Classification:
-    evidence = list(_core_evidence(g, t, c, m))
-    evidence.extend(_dichotomy_evidence(g, t, c, m))
-
-    dual = serre_dual_triple(g, t)
-    dual_ev = list(_core_evidence(g, dual, c, m))
-    dual_ev.extend(_dichotomy_evidence(g, dual, c, m))
-    dual_verdict = _combine(tuple(dual_ev), f"{dual} [{c.value},{m.value}]")
-    if dual_verdict in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE):
-        primary = next(e.rule for e in dual_ev if e.kind in ("nonempty", "wholespace"))
-        evidence.append(_ev("serre", "nonempty",
-                            "duality carries nonemptiness across the reflection",
-                            dual=str(dual), dual_rule=primary))
-    elif dual_verdict is Verdict.EMPTY:
-        primary = next(e.rule for e in dual_ev if e.kind == "empty")
-        evidence.append(_ev("serre", "empty",
-                            "duality carries emptiness across the reflection",
-                            dual=str(dual), dual_rule=primary))
-
-    verdict = _combine(tuple(evidence), f"{t} [{c.value},{m.value}]")
+    evidence = _evidence(g, t, c, m)
+    verdict = _combine(evidence, f"{t} [{c.value},{m.value}]")
     attempted = tuple(r.__name__.removeprefix("_rule_") for r in _DIRECT_RULES) + ("curve_dichotomy", "serre")
     return Classification(
         genus=g,
@@ -549,7 +538,7 @@ def _classify_cached(g: int, t: Triple, c: CurveClass, m: Stability) -> Classifi
         curve_class=c,
         stability=m,
         verdict=verdict,
-        evidence=tuple(evidence),
+        evidence=evidence,
         rho=rho(g, t),
         annotations=tuple(annotate_geometry(g, t)),
         rules_attempted=attempted if verdict is Verdict.UNKNOWN else (),

@@ -8,11 +8,10 @@ isolated points are drawn as open circles.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import check_genus
+from .arith import bn_curve, check_genus
 from .regions import (
     PolySegment,
     RegionId,
@@ -147,8 +146,7 @@ def _curve_elements(vp: _Viewport, spec: PlotSpec) -> list[str]:
     steps = 32 * (2 * g - 2)
     for i in range(steps + 1):
         mu = i / 32.0
-        x = mu - g + 1
-        lam = (math.sqrt(x * x + 4 * (g - 1)) + x) / 2
+        lam = bn_curve(g, Fraction(i, 32)).approx
         pts.append(f"{_fmt(vp.x0 + mu * vp.xs)},{_fmt(vp.y0 - lam * vp.ys)}")
     return [
         '<g id="bn-curve">',

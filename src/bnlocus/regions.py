@@ -5,6 +5,12 @@ and M, their images under the shift maps T and their duality reflections U,
 the assembled existence region (boundary ``f``), the Teixidor parallelogram
 region (boundary ``t``) and the hyperelliptic region (boundary ``h``).
 
+Each shape is stated once.  :func:`bmno_tiles` is the one walk over the
+rank-one thresholds; each of its tiles is a T- or U-image of BGN or M, the
+seesaw ``f`` is the tiles' top lines and their reflection, and the
+threshold columns come from the same walk.  :func:`hyper_strip` is the one
+statement of the hyperelliptic strips, which the oracle also reads.
+
 All memberships follow the strict/non-strict inequalities of the source
 criteria exactly, including the isolated excluded corner points.  Everything
 is a pure function of immutable values; region data is cached per genus.
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -126,44 +132,16 @@ class BoundaryFn:
         return sorted(x for x in xs if self.domain_lo < x < self.domain_hi)
 
 
-def _seesaw_left_pieces(g: int) -> list[Piece]:
-    """Upper boundary of the assembled region on (0, g-1].
-
-    The assembly walks slope-1 tiles rightwards, switching to s+1 sections
-    whenever the rank-one existence threshold for s+1 sections is reached;
-    the final tile before each switch is the reflected-BGN triangle whose
-    top has the steeper slope (threshold - s)/g.
-    """
-    pieces: list[Piece] = []
-    s = 1
-    while line_degree_bound_int(g, s) < g - 1:
-        a = line_degree_bound_int(g, s)
-        b = line_degree_bound_int(g, s + 1)
-        # BGN-shaped tile over (a, a+1], top through (a+1, s) with slope s/g
-        pieces.append(Piece(Fraction(a), Fraction(a + 1), Fraction(s, g), s - Fraction(s, g) * (a + 1)))
-        if b <= g - 1:
-            for dp in range(a, b - 2):
-                pieces.append(Piece(Fraction(dp + 1), Fraction(dp + 2), Fraction(s, g), s - Fraction(s, g) * (dp + 1)))
-            # replacement tile over (b-1, b], top through (b-1, s), slope (b-s)/g
-            pieces.append(Piece(Fraction(b - 1), Fraction(b), Fraction(b - s, g), s - Fraction(b - s, g) * (b - 1)))
-            s += 1
-        else:
-            for dp in range(a, g - 2):
-                pieces.append(Piece(Fraction(dp + 1), Fraction(dp + 2), Fraction(s, g), s - Fraction(s, g) * (dp + 1)))
-            break
-    return pieces
-
-
 @lru_cache(maxsize=None)
 def bmno_boundary(g: int) -> BoundaryFn:
     """Seesaw upper boundary of the assembled existence region on (0, 2g-2).
 
-    Built directly on (0, g-1]; the (g-1, 2g-2) part is the image of the
-    graph under the duality reflection, which turns the left-open pieces
-    into right-open ones.
+    On (0, g-1] it is the top line of each tile of :func:`bmno_tiles`; the
+    (g-1, 2g-2) part is the image of that graph under the duality reflection,
+    which turns the left-open pieces into right-open ones.
     """
     check_genus(g, 3)
-    left = _seesaw_left_pieces(g)
+    left = [Piece(Fraction(t.lo), Fraction(t.lo + 1), t.slope, t.intercept) for t in bmno_tiles(g)]
     out = list(left)
     first = True
     for p in reversed(left):
@@ -341,57 +319,48 @@ def in_u_m_half(g: int, d_shift: int, s: int, p) -> bool:
 
 @dataclass(frozen=True)
 class Tile:
-    """One tile of the assembled region, with its exact boundary semantics.
+    """One tile of the assembled region, over the column lo..lo+1 at level s.
 
-    kind 'bgn': (lo, lo+1] under the top line, corner (lo+1, s) removed.
-    kind 'm':   open (lo, lo+1) under the top line, plus sliver at lo+1
-                with lam < s.
-    kind 'u':   [lo, lo+1) under the top line, anchor (lo, s) removed,
-                plus sliver at lo+1 with lam < s.
+    Every tile is an image of the BGN or M trapezium (``base``): under the
+    shift map T with shift ``d_shift`` and section multiplier ``mult``, or,
+    when ``reflected``, under its reflection U with the same parameters.  A
+    reflected tile replaces the last M tile of a chain and keeps that tile's
+    right edge {mu = lo+1, 0 < lam < s}.  ``slope`` and ``intercept`` give the
+    top line, which is the seesaw boundary over the column.
     """
 
-    kind: str
     lo: int
     s: int
     slope: Fraction
     intercept: Fraction
+    base: str
+    d_shift: int
+    mult: int
+    reflected: bool = False
 
-    def top(self, mu) -> Fraction:
-        return self.slope * Fraction(mu) + self.intercept
+    @property
+    def kind(self) -> str:
+        """'bgn' or 'm' for a T-image, 'u' for the reflected replacement tile."""
+        return "u" if self.reflected else self.base
 
-    def contains(self, mu: Fraction, lam: Fraction) -> bool:
-        if lam <= 0:
-            return False
-        if self.kind == "bgn":
-            if not (self.lo < mu <= self.lo + 1):
-                return False
-            if lam > self.top(mu):
-                return False
-            return not (mu == self.lo + 1 and lam == self.s)
-        if self.kind == "m":
-            if self.lo < mu < self.lo + 1 and lam <= self.top(mu):
-                return True
-            return mu == self.lo + 1 and lam < self.s
-        # reflected tile
-        if self.lo <= mu < self.lo + 1 and lam <= self.top(mu) and not (mu == self.lo and lam == self.s):
-            return True
-        return mu == self.lo + 1 and lam < self.s
-
-
-@dataclass(frozen=True)
-class ExcludedBoundary:
-    """Explicit record of one exclusion carried by the assembled region."""
-
-    description: str
-    citation: str
+    def contains(self, g: int, p: BNPoint) -> bool:
+        if self.reflected:
+            return (in_u_bgn_half(g, self.d_shift, self.mult, p)
+                    or (p.mu == self.lo + 1 and in_translated_m(g, self.lo - 1, self.s, p)))
+        image = in_translated_bgn if self.base == "bgn" else in_translated_m
+        return image(g, self.d_shift, self.mult, p)
 
 
 @lru_cache(maxsize=None)
 def bmno_tiles(g: int) -> tuple[Tile, ...]:
-    """The finite tile list whose union (with its reflection) is the region.
+    """The tiles over (0, g-1] whose union, with its reflection, is the region.
 
-    Mirrors :func:`_seesaw_left_pieces` tile for tile, but keeps the exact
-    per-tile boundary ownership instead of just the top line.
+    This is the one walk over the integer rank-one thresholds
+    a_s = ceil((s-1)(s+g)/s).  The chain for s sections starts with the
+    T-image of BGN at a_s and goes on with T-images of M.  When the next
+    threshold b = a_{s+1} is at most g-1, the chain's last M tile, over
+    (b-1, b], is replaced by the U-image of BGN anchored at (b-1, s), and the
+    walk goes on with s+1 sections from b.
     """
     check_genus(g, 3)
     tiles: list[Tile] = []
@@ -399,66 +368,33 @@ def bmno_tiles(g: int) -> tuple[Tile, ...]:
     while line_degree_bound_int(g, s) < g - 1:
         a = line_degree_bound_int(g, s)
         b = line_degree_bound_int(g, s + 1)
-        tiles.append(Tile("bgn", a, s, Fraction(s, g), s - Fraction(s, g) * (a + 1)))
-        if b <= g - 1:
-            for dp in range(a, b - 2):
-                tiles.append(Tile("m", dp + 1, s, Fraction(s, g), s - Fraction(s, g) * (dp + 1)))
-            tiles.append(Tile("u", b - 1, s, Fraction(b - s, g), s - Fraction(b - s, g) * (b - 1)))
-            s += 1
-        else:
-            for dp in range(a, g - 2):
-                tiles.append(Tile("m", dp + 1, s, Fraction(s, g), s - Fraction(s, g) * (dp + 1)))
+        tiles.append(Tile(a, s, Fraction(s, g), s - Fraction(s, g) * (a + 1), "bgn", a, s))
+        for lo in range(a + 1, min(b - 1, g - 1)):
+            tiles.append(Tile(lo, s, Fraction(s, g), s - Fraction(s, g) * lo, "m", lo - 1, s))
+        if b > g - 1:
             break
+        tiles.append(Tile(b - 1, s, Fraction(b - s, g), s - Fraction(b - s, g) * (b - 1),
+                          "bgn", 2 * g - 2 - b, g - b + s, reflected=True))
+        s += 1
     return tuple(tiles)
 
 
-def bmno_exclusions(g: int) -> tuple[ExcludedBoundary, ...]:
-    """Human-readable inventory of what the stable-mode region leaves out."""
-    check_genus(g, 3)
-    out = [
-        ExcludedBoundary("the slope-0 column and its dual slope-(2g-2) column",
-                         "only the trivial and canonical bundles are stable there"),
-        ExcludedBoundary("the corner (1,1) and every shifted corner (threshold+1, s)",
-                         "the rank-one corner point admits no higher-rank stable bundle"),
-    ]
-    s = 1
-    while line_degree_bound_int(g, s) < g - 1:
-        a = line_degree_bound_int(g, s)
-        out.append(
-            ExcludedBoundary(
-                f"integer slopes m with {a} < m <= next threshold at heights lam >= {s}",
-                "tile boundaries not covered by the construction; open for arbitrary curves",
-            )
-        )
-        s += 1
-    return tuple(out)
+def _threshold_columns(g: int) -> dict[int, int]:
+    """Each integer rank-one threshold up to g-1, mapped to its section count:
+    0 for one section, and the right end of each reflected tile for one more
+    than the tile's level."""
+    return {0: 1} | {t.lo + 1: t.s + 1 for t in bmno_tiles(g) if t.reflected}
 
 
-def _in_tiles_half(g: int, mu: Fraction, lam: Fraction) -> bool:
-    if not (0 < mu <= g - 1) or lam <= 0:
+def _in_tiles_half(g: int, p: BNPoint) -> bool:
+    if not (0 < p.mu <= g - 1) or p.lam <= 0:
         return False
     for tile in bmno_tiles(g):
-        if tile.lo > mu:
+        if tile.lo > p.mu:
             break
-        if tile.contains(mu, lam):
+        if tile.contains(g, p):
             return True
     return False
-
-
-def _threshold_column(g: int, mu: Fraction) -> int | None:
-    """Return s when mu equals the integer rank-one threshold for s sections."""
-    if mu != int(mu):
-        return None
-    s = 1
-    while True:
-        a = line_degree_bound_int(g, s)
-        if a > g - 1:
-            return None
-        if a == mu:
-            return s
-        if a > mu:
-            return None
-        s += 1
 
 
 def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
@@ -477,30 +413,29 @@ def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
     p = _as_point(p)
     sp = serre_dual_point(g, p)
     if mode is BmnoMode.STABLE:
-        if _in_tiles_half(g, p.mu, p.lam) or _in_tiles_half(g, sp.mu, sp.lam):
+        if _in_tiles_half(g, p) or _in_tiles_half(g, sp):
             return True
         return g == 3 and (p.mu, p.lam) == (2, 1)
     # the region is (left polygon) union its reflection; the reflected part is
     # bounded below by the image of lam > 0, so test the left-half formula at
     # the point and at its dual rather than the seesaw over the whole range
     f = bmno_boundary(g)
+    columns = _threshold_columns(g)
 
     def left_half(q: BNPoint) -> bool:
         if not (0 <= q.mu <= g - 1 and 0 < q.lam):
             return False
-        if mode is BmnoMode.SEMISTABLE:
-            s = _threshold_column(g, q.mu)
-            if s is not None and q.lam <= s:
-                return True
+        s = columns.get(q.mu)
+        if mode is BmnoMode.SEMISTABLE and s is not None and q.lam <= s:
+            return True
         if q.mu == 0 or q.lam > f(q.mu):
             return False
         if mode is BmnoMode.SEMISTABLE:
             return True
-        s = _threshold_column(g, q.mu)
         if s is not None and q.lam > (s - 1) * (1 + Fraction(1, g)):
             return False
         if q.lam == int(q.lam):
-            sc = _threshold_column(g, q.mu - 1)
+            sc = columns.get(q.mu - 1)
             if sc is not None and q.lam == sc:
                 return False
         return True
@@ -575,20 +510,29 @@ def in_bmno_h(g: int, p) -> bool:
     return mu == 2 * s and lam == s  # image of the known point (2, 1)
 
 
-def in_hyper_strips(g: int, p) -> bool:
-    """Fully-settled hyperelliptic strips: for 1 <= s <= g-1 the band
-    2s-1 < mu <= 2s with lam <= s, and its dual 2s-2 <= mu < 2s-1 with
-    lam <= mu - s + 1."""
-    check_genus(g, 3)
-    mu, lam = _as_point(p)
+def hyper_strip(g: int, mu: Fraction, lam: Fraction) -> tuple[int, bool] | None:
+    """The fully-settled hyperelliptic strip that holds (mu, lam), as (s, dual).
+
+    For 1 <= s <= g-1 the strip is the band 2s-1 < mu <= 2s with
+    0 < lam <= s (dual False), or its duality image 2s-2 <= mu < 2s-1 with
+    0 < lam <= mu - s + 1 (dual True).  None when no strip holds the point.
+    Genus 2 is accepted: every genus-2 curve is hyperelliptic.
+    """
+    check_genus(g)
     if lam <= 0:
-        return False
+        return None
     for s in range(1, g):
         if 2 * s - 1 < mu <= 2 * s and lam <= s:
-            return True
+            return s, False
         if 2 * s - 2 <= mu < 2 * s - 1 and lam <= mu - s + 1:
-            return True
-    return False
+            return s, True
+    return None
+
+
+def in_hyper_strips(g: int, p) -> bool:
+    """Union of the fully-settled hyperelliptic strips of :func:`hyper_strip`."""
+    check_genus(g, 3)
+    return hyper_strip(g, *_as_point(p)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +576,12 @@ class _IntTile:
 
     @classmethod
     def of(cls, tile: Tile, scale: int) -> "_IntTile":
+        """The BGN or M tile ``tile`` at scale D."""
         lo, hi, top = tile.lo * scale, (tile.lo + 1) * scale, tile.s * scale
         line = _int_line(tile.slope, tile.intercept, scale)
-        if tile.kind == "bgn":
+        if tile.base == "bgn":
             return cls(lo, hi, False, True, line, (hi, top), None)
-        if tile.kind == "m":
-            return cls(lo, hi, False, False, line, None, (hi, top))
-        return cls(lo, hi, True, False, line, (lo, top), (hi, top))
+        return cls(lo, hi, False, False, line, None, (hi, top))
 
     def contains(self, M: int, L: int) -> bool:
         if L <= 0:
@@ -714,10 +657,10 @@ class _IntKernel:
     Answers what :func:`in_bmno`, :func:`in_teixidor`, :func:`in_bmno_h`, the
     four shifted/reflected tile tests, :func:`rho_tilde` and
     :func:`serre_dual_point` answer on the point (M/D, L/D), without building
-    a Fraction.  The tables are derived from :func:`bmno_tiles`,
-    :func:`bmno_boundary` and :func:`line_degree_bound_int`; the shifted
-    tiles are images of the first BGN and M tiles under T, and the reflected
-    ones their duality images.  Those Fraction functions stay the reference.
+    a Fraction.  The tables are derived from :func:`bmno_tiles` and
+    :func:`bmno_boundary`: every tile, like its Fraction counterpart, is the
+    T- or U-image of the first BGN or M tile.  The Fraction functions stay
+    the reference.
     """
 
     def __init__(self, g: int, scale: int):
@@ -726,15 +669,12 @@ class _IntKernel:
             raise ValueError(f"scale must be >= 1, got {scale}")
         self.g, self.D = g, scale
         self.gd = (g - 1) * scale
-        self._tiles = [_IntTile.of(t, scale) for t in bmno_tiles(g)]  # sorted by lo
-        base = {(t.kind, t.lo): it for t, it in zip(bmno_tiles(g), self._tiles)}
-        self._base = {"bgn": base["bgn", 0], "m": base["m", 1]}
+        tiles = bmno_tiles(g)  # the BGN tile at 0, then the M tile at 1
+        self._base = {t.base: _IntTile.of(t, scale) for t in tiles[:2]}
+        self._tiles = [self._image(t) for t in tiles]  # sorted by lo
         self.f = _IntBoundary(bmno_boundary(g), scale)
-        self._columns = {}  # threshold column M -> its section count s
-        s = 1
-        while line_degree_bound_int(g, s) <= g - 1:
-            self._columns[line_degree_bound_int(g, s) * scale] = s
-            s += 1
+        # threshold column M -> its section count s
+        self._columns = {a * scale: s for a, s in _threshold_columns(g).items()}
         self._hyper = [None] + [(self.shifted_tile("bgn", 2 * s - 2, s), self.shifted_tile("m", 2 * s - 2, s))
                                 for s in range(1, g)]
 
@@ -754,6 +694,13 @@ class _IntKernel:
     def reflected_tile(self, kind: str, d_shift: int, s: int) -> _IntTile:
         """:func:`in_u_bgn_half` (kind 'bgn') or :func:`in_u_m_half` (kind 'm')."""
         return self.shifted_tile(kind, d_shift, s).reflected(self.gd)
+
+    def _image(self, t: Tile) -> _IntTile:
+        """:meth:`Tile.contains` of one tile of :func:`bmno_tiles`."""
+        if not t.reflected:
+            return self.shifted_tile(t.base, t.d_shift, t.mult)
+        edge = ((t.lo + 1) * self.D, t.s * self.D)
+        return replace(self.reflected_tile(t.base, t.d_shift, t.mult), sliver=edge)
 
     def dual(self, M: int, L: int) -> tuple[int, int]:
         return 2 * self.gd - M, L + self.gd - M

@@ -517,6 +517,7 @@ def compare_regions(g: int, max_den: int = 8) -> RegionComparison:
     the comparison is between the region polygons, so the isolated stable-mode
     corner exclusions do not generate spurious differences.
     """
+    _check_max_den(max_den)
     f = bmno_boundary(g)
     t = teixidor_boundary(g)
     only_b: list[BNPoint] = []

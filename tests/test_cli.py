@@ -83,15 +83,16 @@ def test_verify_suite(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--suite", "sigma", "--genus-min", "0", "--max-den", "0"),
-    ("--suite", "sigma", "--genus-min", "4", "--genus-max", "4", "--max-den", "0"),
-    ("--suite", "inclusions", "--genus-max", "0"),
-    ("--suite", "prop411", "--genus-min", "3", "--genus-max", "3", "--max-den", "0"),
-    ("--suite", "oracle", "--genus-min", "0"),
-    ("--suite", "oracle", "--genus-max", "3", "--max-rank", "0"),
+    ("verify", "--suite", "sigma", "--genus-min", "0", "--max-den", "0"),
+    ("verify", "--suite", "sigma", "--genus-min", "4", "--genus-max", "4", "--max-den", "0"),
+    ("verify", "--suite", "inclusions", "--genus-max", "0"),
+    ("verify", "--suite", "prop411", "--genus-min", "3", "--genus-max", "3", "--max-den", "0"),
+    ("verify", "--suite", "oracle", "--genus-min", "0"),
+    ("verify", "--suite", "oracle", "--genus-max", "3", "--max-rank", "0"),
+    ("compare", "--genus", "4", "--max-den", "0"),
 ])
 def test_verify_explicit_zero_exits_one(capsys, argv):
-    code, out, err = run(capsys, "verify", *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error: ")
 
 

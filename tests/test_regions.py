@@ -22,7 +22,6 @@ from bnlocus.regions import (
     apply_t,
     apply_u,
     bmno_boundary,
-    bmno_exclusions,
     bmno_tiles,
     boundary_polyline,
     hyper_boundary,
@@ -272,7 +271,6 @@ def test_bmno_tiles_cover_left_interval():
         assert tiles[-1].lo + 1 == g - 1
         for a, b in zip(tiles, tiles[1:]):
             assert b.lo == a.lo + 1
-    assert bmno_exclusions(10)
 
 
 # -- parallelogram region ----------------------------------------------------

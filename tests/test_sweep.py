@@ -71,6 +71,7 @@ def test_oracle_sweep_small():
     lambda: verify_oracle(4, 0),
     lambda: verify_oracle(4, 3, g_lo=1),
     lambda: verify_oracle(4, 3, g_lo=5),
+    lambda: compare_regions(4, 0),
 ])
 def test_sweep_window_validation(call):
     with pytest.raises(ValueError):

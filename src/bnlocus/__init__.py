@@ -38,7 +38,6 @@ from .oracle import (
     annotate_geometry,
     classify,
     h0_max,
-    shift_nonempty,
 )
 from .regions import (
     BmnoMode,
@@ -46,7 +45,6 @@ from .regions import (
     RegionId,
     RegionKind,
     apply_t,
-    apply_u,
     bmno_boundary,
     bmno_tiles,
     boundary_polyline,

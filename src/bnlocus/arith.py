@@ -177,6 +177,11 @@ def line_degree_bound_strict(g: int, s: int) -> int:
     return math.ceil(line_degree_bound(g, s) + Fraction(1, s)) - 1
 
 
+def hyper_window(mu) -> int:
+    """The hyperelliptic slope window holding mu: the s with 2s-2 < mu <= 2s."""
+    return math.ceil(Fraction(mu, 2))
+
+
 def hyper_h0_bound(g: int, s: int, n: int, d: int) -> Fraction:
     """Section bound sn + (s/g)(d - (2s-1)n) for stable bundles on a
     hyperelliptic curve whose slope lies in (2s-2, 2s)."""

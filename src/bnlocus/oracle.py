@@ -28,6 +28,7 @@ from .arith import (
     check_genus,
     format_rat,
     hyper_h0_bound,
+    hyper_window,
     line_degree_bound_int,
     rho,
     serre_dual_triple,
@@ -344,11 +345,6 @@ def _rule_teixidor(g, t, c, m):
     return []
 
 
-def _hyper_window(mu: Fraction) -> int:
-    """s with 2s-2 < mu <= 2s."""
-    return max(0, math.ceil(Fraction(mu, 2)))
-
-
 def _rule_hyper_bounds(g, t, c, m):
     if not _hyper_rules_allowed(g, c) or t.k < 1 or t.d < 0:
         return []
@@ -356,8 +352,8 @@ def _rule_hyper_bounds(g, t, c, m):
     mu = t.mu
     out = []
     if d % (2 * n) != 0 or mu > 2 * g - 2:
-        s = _hyper_window(mu)
-        if 0 <= s <= g and 2 * s - 2 < mu < 2 * s:
+        s = hyper_window(mu)
+        if s <= g and mu < 2 * s:
             bound = hyper_h0_bound(g, s, n, d)
             if k > bound:
                 out.append(_ev("hyper_h0_bound", "empty",
@@ -554,31 +550,6 @@ def classify(g: int, t: Triple, c: CurveClass = CurveClass.ARBITRARY,
     return _classify_cached(g, t, c, m)
 
 
-def shift_nonempty(g: int, t: Triple, d_shift: int,
-                   c: CurveClass = CurveClass.ARBITRARY,
-                   m: Stability = Stability.STABLE) -> Classification:
-    """Classification of (n, d + n*d_shift, k); twisting by an effective line
-    bundle guarantees the shift never loses nonemptiness, and the result is
-    upgraded accordingly when the direct rules miss it."""
-    if d_shift < 0:
-        raise ValueError(f"shift must be >= 0, got {d_shift}")
-    base = classify(g, t, c, m)
-    shifted = Triple(t.n, t.d + t.n * d_shift, t.k)
-    result = classify(g, shifted, c, m)
-    if base.nonempty() and not result.nonempty():
-        if result.verdict is Verdict.EMPTY:
-            raise ContradictionError(f"shift of nonempty {t} by {d_shift} classified empty: {shifted}")
-        extra = _ev("twist_shift", "nonempty",
-                    "twisting by an effective line bundle preserves nonemptiness",
-                    base=str(t), d_shift=d_shift)
-        return Classification(
-            genus=g, triple=shifted, curve_class=result.curve_class, stability=result.stability,
-            verdict=Verdict.NON_EMPTY, evidence=result.evidence + (extra,),
-            rho=result.rho, annotations=result.annotations,
-        )
-    return result
-
-
 def annotate_geometry(g: int, t: Triple) -> list[str]:
     """Dimension/irreducibility/singularity notes applicable to the triple."""
     check_genus(g)
@@ -632,13 +603,13 @@ def h0_max(g: int, n: int, d: int, c: CurveClass = CurveClass.ARBITRARY) -> tupl
         if d < 2 * n or (d == 2 * n and _nonhyper_rules_allowed(g, c)):
             candidates.append((d - n) // g + n)  # low/mid-slope bound
         if _hyper_rules_allowed(g, c):
-            s = _hyper_window(mu)
+            s = hyper_window(mu)
             if d % (2 * n) == 0 and 0 <= d // (2 * n) <= g - 1:
                 sv = d // (2 * n)
                 candidates.append(sv + 1 if n == 1 else sv * n)
                 if n == 1:
                     note = "attained only by the power of the degree-2 pencil"
-            elif 0 <= s <= g:
+            elif s <= g:
                 fb = math.floor(hyper_h0_bound(g, s, n, d))
                 if g >= 4 and 3 * n < d < 4 * n:
                     l, lp = divmod(d - 3 * n, g)

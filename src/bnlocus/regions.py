@@ -7,9 +7,10 @@ region (boundary ``t``) and the hyperelliptic region (boundary ``h``).
 
 Each shape is stated once.  :func:`bmno_tiles` is the one walk over the
 rank-one thresholds; each of its tiles is a T- or U-image of BGN or M, the
-seesaw ``f`` is the tiles' top lines and their reflection, and the
-threshold columns come from the same walk.  :func:`hyper_strip` is the one
-statement of the hyperelliptic strips, which the oracle also reads.
+seesaw ``f`` is the tiles' top lines and their reflection, and the chain
+levels and threshold columns come from the same walk; :func:`in_bmno` reads
+only those three, in every mode.  :func:`hyper_strip` is the one statement
+of the hyperelliptic strips, which the oracle also reads.
 
 All memberships follow the strict/non-strict inequalities of the source
 criteria exactly, including the isolated excluded corner points.  Everything
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -32,6 +33,7 @@ from .arith import (
     _as_point,
     check_genus,
     format_rat,
+    hyper_window,
     line_degree_bound_int,
     line_degree_bound_strict,
     rho_tilde,
@@ -217,26 +219,14 @@ def in_half_pentagon(g: int, p) -> bool:
     return in_pentagon(g, p) and p.mu <= g - 1
 
 
-def _trapezium_top(g: int, mu: Fraction) -> Fraction:
-    return Fraction(mu + g - 1, g)
-
-
 def in_bgn(g: int, p) -> bool:
-    """Slope-(0,1] trapezium 0 < lam <= (mu+g-1)/g minus its (1,1) corner."""
-    check_genus(g, 3)
-    mu, lam = _as_point(p)
-    if not (0 < mu <= 1 and 0 < lam <= _trapezium_top(g, mu)):
-        return False
-    return not (mu == 1 and lam == 1)
+    """Slope-(0,1] trapezium: :func:`in_translated_bgn` with d' = 0, s = 1."""
+    return in_translated_bgn(g, 0, 1, p)
 
 
 def in_m(g: int, p) -> bool:
-    """Slope-(1,2) trapezium plus the slope-2 sliver {(2, lam): 0 < lam < 1}."""
-    check_genus(g, 3)
-    mu, lam = _as_point(p)
-    if 1 < mu < 2 and 0 < lam <= _trapezium_top(g, mu):
-        return True
-    return mu == 2 and 0 < lam < 1
+    """Slope-(1,2) trapezium: :func:`in_translated_m` with d' = 0, s = 1."""
+    return in_translated_m(g, 0, 1, p)
 
 
 def apply_t(d_shift: int, s: int, p) -> BNPoint:
@@ -245,12 +235,6 @@ def apply_t(d_shift: int, s: int, p) -> BNPoint:
         raise ValueError(f"section multiplier must be >= 1, got {s}")
     mu, lam = _as_point(p)
     return BNPoint(mu + d_shift, s * lam)
-
-
-def apply_u(g: int, d_shift: int, s: int, p) -> BNPoint:
-    """Duality reflection of the shift map: sigma composed with T."""
-    check_genus(g)
-    return serre_dual_point(g, apply_t(d_shift, s, p))
 
 
 def in_translated_bgn(g: int, d_shift: int, s: int, p) -> bool:
@@ -326,7 +310,8 @@ class Tile:
     when ``reflected``, under its reflection U with the same parameters.  A
     reflected tile replaces the last M tile of a chain and keeps that tile's
     right edge {mu = lo+1, 0 < lam < s}.  ``slope`` and ``intercept`` give the
-    top line, which is the seesaw boundary over the column.
+    top line, which is the seesaw boundary over the column, and ``s`` the
+    chain level; :func:`in_bmno` is tested equal to the union of the images.
     """
 
     lo: int
@@ -342,13 +327,6 @@ class Tile:
     def kind(self) -> str:
         """'bgn' or 'm' for a T-image, 'u' for the reflected replacement tile."""
         return "u" if self.reflected else self.base
-
-    def contains(self, g: int, p: BNPoint) -> bool:
-        if self.reflected:
-            return (in_u_bgn_half(g, self.d_shift, self.mult, p)
-                    or (p.mu == self.lo + 1 and in_translated_m(g, self.lo - 1, self.s, p)))
-        image = in_translated_bgn if self.base == "bgn" else in_translated_m
-        return image(g, self.d_shift, self.mult, p)
 
 
 @lru_cache(maxsize=None)
@@ -386,45 +364,42 @@ def _threshold_columns(g: int) -> dict[int, int]:
     return {0: 1} | {t.lo + 1: t.s + 1 for t in bmno_tiles(g) if t.reflected}
 
 
-def _in_tiles_half(g: int, p: BNPoint) -> bool:
-    if not (0 < p.mu <= g - 1) or p.lam <= 0:
-        return False
-    for tile in bmno_tiles(g):
-        if tile.lo > p.mu:
-            break
-        if tile.contains(g, p):
-            return True
-    return False
+def _chain_levels(g: int) -> dict[int, int]:
+    """Each integer slope 1..g-1, mapped to the level s of the tile whose
+    column ends there."""
+    return {t.lo + 1: t.s for t in bmno_tiles(g)}
 
 
 def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
     """Membership in the assembled existence region.
 
-    STABLE mode is the explicit tile union (with reflection) minus every
-    exclusion forced on an arbitrary curve; for genus 3 the isolated point
-    (2, 1) is additionally known to belong.  NON_HYPERELLIPTIC restores the
-    right-hand boundaries: everything under the seesaw except the threshold
-    columns above (s-1)(1+1/g) and the shifted corners (threshold+1, s).
-    SEMISTABLE includes the whole seesaw graph plus the threshold columns
-    up to height s.
+    STABLE mode is the tile union of :func:`bmno_tiles` with its reflection,
+    in closed form: on or under the seesaw at a fractional slope, strictly
+    below the chain level at an integer one (tested equal to the union of the
+    tile images); for genus 3 the isolated point (2, 1) is additionally known
+    to belong.  NON_HYPERELLIPTIC restores the right-hand boundaries:
+    everything under the seesaw except the threshold columns above
+    (s-1)(1+1/g) and the shifted corners (threshold+1, s).  SEMISTABLE
+    includes the whole seesaw graph plus the threshold columns up to height s.
     """
     check_genus(g, 3)
     mode = BmnoMode(mode)
     p = _as_point(p)
     sp = serre_dual_point(g, p)
-    if mode is BmnoMode.STABLE:
-        if _in_tiles_half(g, p) or _in_tiles_half(g, sp):
-            return True
-        return g == 3 and (p.mu, p.lam) == (2, 1)
     # the region is (left polygon) union its reflection; the reflected part is
     # bounded below by the image of lam > 0, so test the left-half formula at
     # the point and at its dual rather than the seesaw over the whole range
     f = bmno_boundary(g)
+    levels = _chain_levels(g)
     columns = _threshold_columns(g)
 
     def left_half(q: BNPoint) -> bool:
         if not (0 <= q.mu <= g - 1 and 0 < q.lam):
             return False
+        if mode is BmnoMode.STABLE:
+            if q.mu.denominator == 1:
+                return 0 < q.mu and q.lam < levels[q.mu]
+            return q.lam <= f(q.mu)
         s = columns.get(q.mu)
         if mode is BmnoMode.SEMISTABLE and s is not None and q.lam <= s:
             return True
@@ -440,16 +415,14 @@ def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
                 return False
         return True
 
-    return left_half(p) or left_half(sp)
+    if left_half(p) or left_half(sp):
+        return True
+    return mode is BmnoMode.STABLE and g == 3 and (p.mu, p.lam) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
 # Teixidor parallelogram region
 # ---------------------------------------------------------------------------
-
-
-def _floor(x: Fraction) -> int:
-    return math.floor(x)
 
 
 def in_teixidor(g: int, p, stability: Stability = Stability.SEMISTABLE) -> bool:
@@ -469,14 +442,14 @@ def in_teixidor(g: int, p, stability: Stability = Stability.SEMISTABLE) -> bool:
     mu, lam = _as_point(p)
     if lam <= 0:
         raise ValueError(f"requires lam > 0, got {lam}")
-    fl = lam - _floor(lam)
-    fm = mu - _floor(mu)
+    fl = lam - math.floor(lam)
+    fm = mu - math.floor(mu)
     if fl == 0:
-        ok = rho_tilde(g, BNPoint(_floor(mu), lam)) >= 0
+        ok = rho_tilde(g, BNPoint(math.floor(mu), lam)) >= 0
     elif fl <= fm:
-        ok = rho_tilde(g, BNPoint(_floor(mu) + 1, _floor(lam) + 1)) >= 0
+        ok = rho_tilde(g, BNPoint(math.floor(mu) + 1, math.floor(lam) + 1)) >= 0
     else:
-        ok = rho_tilde(g, BNPoint(_floor(mu), _floor(lam) + 1)) >= 0
+        ok = rho_tilde(g, BNPoint(math.floor(mu), math.floor(lam) + 1)) >= 0
     if not ok:
         return False
     if stability is Stability.STABLE and fl == 0 and fm == 0:
@@ -502,7 +475,7 @@ def in_bmno_h(g: int, p) -> bool:
         return False
     if mu <= 0 or mu > 2 * g - 2:
         return False
-    s = max(1, math.ceil(Fraction(mu, 2)))  # slope window (2s-2, 2s]
+    s = hyper_window(mu)
     if s > g - 1:
         return False
     if in_translated_bgn(g, 2 * s - 2, s, p) or in_translated_m(g, 2 * s - 2, s, p):
@@ -658,9 +631,9 @@ class _IntKernel:
     four shifted/reflected tile tests, :func:`rho_tilde` and
     :func:`serre_dual_point` answer on the point (M/D, L/D), without building
     a Fraction.  The tables are derived from :func:`bmno_tiles` and
-    :func:`bmno_boundary`: every tile, like its Fraction counterpart, is the
-    T- or U-image of the first BGN or M tile.  The Fraction functions stay
-    the reference.
+    :func:`bmno_boundary`: :meth:`in_bmno` is the same closed form, and every
+    tile, like its Fraction counterpart, is the T- or U-image of the first
+    BGN or M tile.  The Fraction functions stay the reference.
     """
 
     def __init__(self, g: int, scale: int):
@@ -671,9 +644,9 @@ class _IntKernel:
         self.gd = (g - 1) * scale
         tiles = bmno_tiles(g)  # the BGN tile at 0, then the M tile at 1
         self._base = {t.base: _IntTile.of(t, scale) for t in tiles[:2]}
-        self._tiles = [self._image(t) for t in tiles]  # sorted by lo
         self.f = _IntBoundary(bmno_boundary(g), scale)
-        # threshold column M -> its section count s
+        # integer slope M -> its chain level L; threshold column M -> its section count s
+        self._levels = {a * scale: s * scale for a, s in _chain_levels(g).items()}
         self._columns = {a * scale: s for a, s in _threshold_columns(g).items()}
         self._hyper = [None] + [(self.shifted_tile("bgn", 2 * s - 2, s), self.shifted_tile("m", 2 * s - 2, s))
                                 for s in range(1, g)]
@@ -695,13 +668,6 @@ class _IntKernel:
         """:func:`in_u_bgn_half` (kind 'bgn') or :func:`in_u_m_half` (kind 'm')."""
         return self.shifted_tile(kind, d_shift, s).reflected(self.gd)
 
-    def _image(self, t: Tile) -> _IntTile:
-        """:meth:`Tile.contains` of one tile of :func:`bmno_tiles`."""
-        if not t.reflected:
-            return self.shifted_tile(t.base, t.d_shift, t.mult)
-        edge = ((t.lo + 1) * self.D, t.s * self.D)
-        return replace(self.reflected_tile(t.base, t.d_shift, t.mult), sliver=edge)
-
     def dual(self, M: int, L: int) -> tuple[int, int]:
         return 2 * self.gd - M, L + self.gd - M
 
@@ -709,20 +675,14 @@ class _IntKernel:
         """:func:`rho_tilde` scaled by D**2."""
         return self.gd * self.D - L * (L - M + self.gd)
 
-    def _in_tiles_half(self, M: int, L: int) -> bool:
-        if not (0 < M <= self.gd) or L <= 0:
-            return False
-        for t in self._tiles:
-            if t.lo > M:
-                break
-            if t.contains(M, L):
-                return True
-        return False
-
-    def _left_half(self, M: int, L: int, semistable: bool) -> bool:
+    def _left_half(self, M: int, L: int, stable: bool, semistable: bool) -> bool:
         D = self.D
         if not (0 <= M <= self.gd and 0 < L):
             return False
+        if stable:
+            if M % D == 0:
+                return 0 < M and L < self._levels[M]
+            return self.f.below(M, L)
         s = self._columns.get(M)
         if semistable and s is not None and L <= s * D:
             return True
@@ -739,13 +699,15 @@ class _IntKernel:
         return True
 
     def in_bmno(self, M: int, L: int, mode: BmnoMode) -> bool:
+        # the modes are resolved once here: an Enum member lookup costs more
+        # than the rest of a typical left-half test
+        stable, semistable = mode is BmnoMode.STABLE, mode is BmnoMode.SEMISTABLE
+        if self._left_half(M, L, stable, semistable):
+            return True
         SM, SL = self.dual(M, L)
-        if mode is BmnoMode.STABLE:
-            if self._in_tiles_half(M, L) or self._in_tiles_half(SM, SL):
-                return True
-            return self.g == 3 and (M, L) == (2 * self.D, self.D)
-        semistable = mode is BmnoMode.SEMISTABLE
-        return self._left_half(M, L, semistable) or self._left_half(SM, SL, semistable)
+        if self._left_half(SM, SL, stable, semistable):
+            return True
+        return stable and self.g == 3 and (M, L) == (2 * self.D, self.D)
 
     def in_teixidor(self, M: int, L: int, stability: Stability) -> bool:
         if L <= 0:
@@ -770,7 +732,7 @@ class _IntKernel:
         D, gd = self.D, self.gd
         if not (M < L + gd and M >= 2 * L - 2 * D and 0 < M <= 2 * gd and L > 0):
             return False
-        s = max(1, -(-M // (2 * D)))
+        s = -(-M // (2 * D))
         if s > self.g - 1:
             return False
         bgn, m = self._hyper[s]

@@ -32,8 +32,10 @@ from .arith import (
     BNPoint,
     Stability,
     Triple,
+    check_genus,
     format_rat,
     hyper_h0_bound,
+    hyper_window,
     line_degree_bound_int,
     rho_tilde,
     serre_dual_triple,
@@ -430,8 +432,8 @@ def _oracle_one_genus(args) -> SweepReport:
                         if (c is CurveClass.HYPERELLIPTIC and m is Stability.STABLE
                                 and r.verdict in nonemptyish):
                             mu = t.mu
-                            s = max(0, math.ceil(Fraction(mu, 2)))
-                            if s <= g and 2 * s - 2 < mu < 2 * s:
+                            s = hyper_window(mu)
+                            if s <= g and mu < 2 * s:
                                 if k > hyper_h0_bound(g, s, n, d):
                                     rep.record(f"g={g} {t}", "below the hyperelliptic bound",
                                                r.verdict.value)
@@ -466,6 +468,9 @@ def enumerate_classifications(g: int, n_max: int,
                               m: Stability = Stability.STABLE) -> list[Classification]:
     """Deterministic table of classifications, ordered by (n, d, k), over
     0 <= d <= 2n(g-1) and 1 <= k <= n + d."""
+    check_genus(g)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     out = []
     for n in range(1, n_max + 1):
         for d in range(0, 2 * n * (g - 1) + 1):

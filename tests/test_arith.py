@@ -13,6 +13,7 @@ from bnlocus.arith import (
     bn_curve_gap_cmp,
     format_rat,
     hyper_h0_bound,
+    hyper_window,
     line_degree_bound,
     line_degree_bound_int,
     line_degree_bound_strict,
@@ -140,6 +141,12 @@ def test_hyper_bound_recurrence(g, s, n, d):
     lhs = 2 * hyper_h0_bound(g, s + 1, n, d)
     rhs = hyper_h0_bound(g, s, n, d - 2 * n) + hyper_h0_bound(g, s + 2, n, d + 2 * n)
     assert lhs == rhs
+
+
+@given(st.fractions(min_value=0, max_value=200, max_denominator=64))
+def test_hyper_window_holds_slope(mu):
+    s = hyper_window(mu)
+    assert 2 * s - 2 < mu <= 2 * s
 
 
 @given(genera)

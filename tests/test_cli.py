@@ -90,6 +90,8 @@ def test_verify_suite(capsys):
     ("verify", "--suite", "oracle", "--genus-min", "0"),
     ("verify", "--suite", "oracle", "--genus-max", "3", "--max-rank", "0"),
     ("compare", "--genus", "4", "--max-den", "0"),
+    ("enumerate", "--genus", "4", "--max-rank", "0"),
+    ("enumerate", "--genus", "1", "--max-rank", "0"),
 ])
 def test_verify_explicit_zero_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -12,7 +12,6 @@ from bnlocus.oracle import (
     annotate_geometry,
     classify,
     h0_max,
-    shift_nonempty,
 )
 
 ARB = CurveClass.ARBITRARY
@@ -204,26 +203,21 @@ def test_genus2_is_hyperelliptic():
     assert classify(2, Triple(1, 1, 2), ARB).verdict is Verdict.EMPTY
 
 
-def test_shift_nonempty():
-    base = Triple(2, 2, 1)
-    assert shift_nonempty(2, base, 0).verdict is classify(2, base).verdict
-    r = shift_nonempty(2, base, 3)
-    assert r.verdict in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
-    r = shift_nonempty(4, Triple(4, 14, 8), 1, HYP)
-    assert r.verdict in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
-    with pytest.raises(ValueError):
-        shift_nonempty(2, base, -1)
-
-
-def test_shift_upgrades_unknown():
-    # genus 3, (3,6,4) is undetermined directly, but it is a shift of (3,3,4)?
-    # use a case whose base is nonempty and whose shift the rules miss:
-    # none in range resolves to Unknown after shifting, so check the contract
-    # on a window instead
-    for d_shift in range(0, 3):
-        base = Triple(2, 3, 2)
-        assert classify(3, base).nonempty()
-        assert shift_nonempty(3, base, d_shift).nonempty()
+def test_twist_keeps_nonemptiness():
+    # twisting by an effective line bundle of degree d' keeps (semi)stability
+    # and the sections, so (n, d, k) nonempty forces (n, d + n*d', k) nonempty
+    for g in range(2, 6):
+        classes = [ARB, HYP, GEN] + ([NH] if g >= 3 else [])
+        for c in classes:
+            for m in (ST, SS):
+                for n in range(1, 4):
+                    for d in range(0, 2 * n * (g - 1) + 1):
+                        for k in range(1, n + d + 1):
+                            if not classify(g, Triple(n, d, k), c, m).nonempty():
+                                continue
+                            for dp in (1, 2):
+                                shifted = Triple(n, d + n * dp, k)
+                                assert classify(g, shifted, c, m).nonempty(), (g, c, m, n, d, k, dp)
 
 
 def test_h0_max_examples():

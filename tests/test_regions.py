@@ -20,7 +20,6 @@ from bnlocus.regions import (
     RegionId,
     RegionKind,
     apply_t,
-    apply_u,
     bmno_boundary,
     bmno_tiles,
     boundary_polyline,
@@ -80,18 +79,8 @@ def test_shift_maps():
     assert apply_t(6, 2, p) == point(F(13, 2), F(3, 2))
     for s in (1, 2, 5):
         assert apply_t(2 * s - 2, s, point(1, 1)) == point(2 * s - 1, s)
-    assert apply_u(10, 9, 2, point(1, 1)) == point(8, 1)
-    assert apply_u(10, 11, 2, point(1, F(1, 4))) == point(6, F(-5, 2))
     with pytest.raises(ValueError):
         apply_t(1, 0, p)
-
-
-@given(st.integers(3, 20), st.integers(0, 15), st.integers(1, 8),
-       st.fractions(min_value=0, max_value=3, max_denominator=8),
-       st.fractions(min_value=0, max_value=3, max_denominator=8))
-def test_u_is_sigma_after_t(g, dp, s, mu, lam):
-    p = point(mu, lam)
-    assert apply_u(g, dp, s, p) == serre_dual_point(g, apply_t(dp, s, p))
 
 
 def test_translated_tiles_examples():
@@ -237,29 +226,41 @@ def test_bmno_implies_under_boundary():
                 assert lam <= f(mu)
 
 
+def _in_tile(g, t, p):
+    """The image that tile ``t`` of ``bmno_tiles`` records, through the
+    public tile tests; a reflected tile keeps the right edge of the M tile it
+    replaces."""
+    if t.reflected:
+        return (in_u_bgn_half(g, t.d_shift, t.mult, p)
+                or (p.mu == t.lo + 1 and in_translated_m(g, t.lo - 1, t.s, p)))
+    image = in_translated_bgn if t.base == "bgn" else in_translated_m
+    return image(g, t.d_shift, t.mult, p)
+
+
+def _in_tile_union(g, p):
+    def left(q):
+        return 0 < q.mu <= g - 1 and any(_in_tile(g, t, q) for t in bmno_tiles(g))
+
+    return left(p) or left(serre_dual_point(g, p)) or (g == 3 and p == point(2, 1))
+
+
 def test_stable_membership_closed_form():
-    # the tile union has a closed description: under the seesaw at fractional
-    # slopes, strictly below the chain's section level at integer slopes
-    for g in (4, 7, 10, 13):
-        f = bmno_boundary(g)
+    # in_bmno's closed form (on or under the seesaw at fractional slopes,
+    # strictly below the chain level at integer ones) is the union of the
+    # tiles' T- and U-images with their reflection
+    for g in (3, 4, 7, 9, 10, 13):
+        f, tiles = bmno_boundary(g), bmno_tiles(g)
+        levels = {F(t.s) for t in tiles}
+        eps = F(1, 48 * g)
         for mu_num in range(1, 8 * (g - 1) + 1):
             mu = F(mu_num, 8)
-            col = None
-            if mu.denominator == 1:
-                s = 1
-                while line_degree_bound_int(g, s + 1) < mu:
-                    s += 1
-                col = s
-            top = f(mu)
-            for lam in (F(1, 16), top - F(1, 16), top, top + F(1, 16), F(col or 1), F(col or 1) - F(1, 16)):
-                if lam <= 0:
-                    continue
-                got = in_bmno(g, point(mu, lam))
-                if col is None:
-                    want = lam <= top
-                else:
-                    want = lam < col
-                assert got == want, (g, mu, lam)
+            tops = {t.slope * mu + t.intercept for t in tiles}
+            for base in tops | levels | {f(mu)}:
+                for lam in (base - eps, base, base + eps):
+                    if lam <= 0:
+                        continue
+                    for p in (point(mu, lam), serre_dual_point(g, point(mu, lam))):
+                        assert in_bmno(g, p) == _in_tile_union(g, p), (g, p)
 
 
 def test_bmno_tiles_cover_left_interval():

@@ -3,8 +3,7 @@
 
 Prints the machine (Python version, usable cores, CPU model) first, so the
 per-suite timings can be compared across hosts.  Writes JSON reports to
---out-dir when it is given.  Set BN_LOCUS_THREADS to parallelize across
-genus values.
+--out-dir when it is given.
 """
 import argparse
 import json
@@ -41,8 +40,7 @@ def main() -> int:
         ("oracle", lambda: sweep.verify_oracle(6, 5)),
     ]
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    print(f"machine: python {platform.python_version()}, nproc {nproc}, cpu {cpu_model()!r}, "
-          f"BN_LOCUS_THREADS={os.environ.get('BN_LOCUS_THREADS', '')!r}")
+    print(f"machine: python {platform.python_version()}, nproc {nproc}, cpu {cpu_model()!r}")
     reports = []
     all_ok = True
     for name, runner in suites:

@@ -3,7 +3,7 @@
 Subcommands: classify, boundary, region, plot, enumerate, verify, compare.
 Exit codes: 0 success (any verdict), 1 usage error, 2 internal
 contradiction, 3 I/O error.  Identical invocations produce byte-identical
-output.  BN_LOCUS_THREADS optionally caps sweep parallelism.
+output.
 """
 from __future__ import annotations
 
@@ -163,6 +163,10 @@ def _run_suite(name: str, args) -> sweep.SweepReport:
 
 
 def cmd_verify(args) -> int:
+    if args.suite == "oracle" and args.max_den is not None:
+        raise ValueError("--max-den does not apply to --suite oracle")
+    if args.suite not in ("oracle", "all") and args.max_rank is not None:
+        raise ValueError(f"--max-rank does not apply to --suite {args.suite}")
     names = _SUITES if args.suite == "all" else (args.suite,)
     reports = [_run_suite(name, args) for name in names]
     if args.out:
@@ -239,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=_SUITES + ("all",), required=True)
     p.add_argument("--genus-min", type=int, default=None)
     p.add_argument("--genus-max", type=int, default=None)
-    p.add_argument("--max-den", type=int, default=None)
-    p.add_argument("--max-rank", type=int, default=None)
+    p.add_argument("--max-den", type=int, default=None, help="grid suites (all but oracle)")
+    p.add_argument("--max-rank", type=int, default=None, help="oracle suite")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -72,9 +72,6 @@ class _Viewport:
     def y(self, lam) -> float:
         return self.y0 - float(lam) * self.ys
 
-    def pt(self, mu, lam) -> str:
-        return f"{_fmt(self.x(mu))},{_fmt(self.y(lam))}"
-
 
 def _line(vp: _Viewport, seg: PolySegment, color: str, dashed: bool) -> str:
     dash = ' stroke-dasharray="6,4"' if dashed else ""

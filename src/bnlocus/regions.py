@@ -357,6 +357,9 @@ def bmno_tiles(g: int) -> tuple[Tile, ...]:
     return tuple(tiles)
 
 
+# the two column tables are cached per genus like bmno_tiles; every caller
+# only reads them
+@lru_cache(maxsize=None)
 def _threshold_columns(g: int) -> dict[int, int]:
     """Each integer rank-one threshold up to g-1, mapped to its section count:
     0 for one section, and the right end of each reflected tile for one more
@@ -364,6 +367,7 @@ def _threshold_columns(g: int) -> dict[int, int]:
     return {0: 1} | {t.lo + 1: t.s + 1 for t in bmno_tiles(g) if t.reflected}
 
 
+@lru_cache(maxsize=None)
 def _chain_levels(g: int) -> dict[int, int]:
     """Each integer slope 1..g-1, mapped to the level s of the tile whose
     column ends there."""

@@ -17,15 +17,12 @@ membership test then goes through the scaled-integer kernel of
 boundary data as the public Fraction functions.  Those functions stay the
 reference: a differential test holds the kernel to them, and points are
 turned back into Fractions only to write a failure record.
-
-Set ``BN_LOCUS_THREADS`` to split per-genus work across processes; the
-merged report is identical either way.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 
 from .arith import (
@@ -80,13 +77,6 @@ class SweepReport:
         if len(self.failures) < _FAILURE_CAP:
             self.failures.append(SweepFailure(str(input_), str(expected), str(observed)))
 
-    def merge(self, other: "SweepReport"):
-        self.checks_run += other.checks_run
-        self.failure_count += other.failure_count
-        for f in other.failures:
-            if len(self.failures) < _FAILURE_CAP:
-                self.failures.append(f)
-
     @property
     def passed(self) -> bool:
         return self.failure_count == 0
@@ -138,36 +128,21 @@ def _point(M: int, L: int, D: int) -> BNPoint:
     return BNPoint(Fraction(M, D), Fraction(L, D))
 
 
-def _threads() -> int:
-    raw = os.environ.get("BN_LOCUS_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BN_LOCUS_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"BN_LOCUS_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _check_max_den(max_den: int) -> None:
-    if max_den < 1:
-        raise ValueError(f"max_den must be >= 1, got {max_den}")
-
-
-def _run_per_genus(fn, genera, report: SweepReport) -> SweepReport:
-    workers = _threads()
-    if workers > 1 and len(genera) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sub in pool.map(fn, genera):
-                report.merge(sub)
-    else:
-        for g in genera:
-            report.merge(fn(g))
-    return report
+def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, param: int, *bodies,
+           hi: str = "g_hi", param_name: str = "max_den") -> SweepReport:
+    """Check the genus window and the parameter, then run each
+    ``body(report, g, param)`` over g = g_lo..g_hi in order, all writing into
+    one report.  The bodies run one after another, each over the whole
+    window, so the failure records come in the order the suite states them."""
+    if not (g_min <= g_lo <= g_hi):
+        raise ValueError(f"need {g_min} <= g_lo <= {hi}")
+    if param < 1:
+        raise ValueError(f"{param_name} must be >= 1, got {param}")
+    rep = SweepReport(suite, g_lo, g_hi, param)
+    for body in bodies:
+        for g in range(g_lo, g_hi + 1):
+            body(rep, g, param)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +150,8 @@ def _run_per_genus(fn, genera, report: SweepReport) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _prop_boundary_gap_one_genus(args) -> SweepReport:
-    g, max_den, which = args
-    rep = SweepReport(which, g, g, max_den)
-    fn = bmno_boundary(g) if which == "boundary_gap_f" else teixidor_boundary(g)
+def _boundary_gap(boundary, rep: SweepReport, g: int, max_den: int) -> None:
+    fn = boundary(g)
     grid = set(rationals_between(0, 2 * g - 2, max_den)) | set(fn.breakpoints())
     for mu in sorted(grid):
         val = fn(mu)
@@ -189,47 +162,38 @@ def _prop_boundary_gap_one_genus(args) -> SweepReport:
             rep.record(f"g={g} mu={format_rat(mu)}",
                        "boundary on or below the curve, boundary+1 above",
                        f"value={format_rat(val)}")
-    return rep
 
 
 def verify_prop_4_11(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> SweepReport:
     """The assembled boundary lies on or below the expected-dimension curve,
     and less than one below it, at every grid point and breakpoint."""
-    if not (3 <= g_lo <= g_hi):
-        raise ValueError("need 3 <= g_lo <= g_hi")
-    _check_max_den(max_den)
-    rep = SweepReport("boundary_gap_f", g_lo, g_hi, max_den)
-    return _run_per_genus(_prop_boundary_gap_one_genus,
-                          [(g, max_den, "boundary_gap_f") for g in range(g_lo, g_hi + 1)], rep)
+    return _sweep("boundary_gap_f", 3, g_lo, g_hi, max_den, partial(_boundary_gap, bmno_boundary))
+
+
+def _teixidor_shape(rep: SweepReport, g: int, _max_den: int) -> None:
+    fn = teixidor_boundary(g)
+    prev_val = None
+    for a, b in zip(fn.pieces, fn.pieces[1:]):
+        rep.checks_run += 1
+        if a.value_at(a.hi) != b.value_at(b.lo):
+            rep.record(f"g={g} mu={format_rat(a.hi)}", "continuous at the joint",
+                       f"{format_rat(a.value_at(a.hi))} vs {format_rat(b.value_at(b.lo))}")
+    for p in fn.pieces:
+        if p.lo >= g - 1:
+            break
+        rep.checks_run += 1
+        if p.slope < 0 or p.value_at(p.lo) > p.value_at(min(p.hi, Fraction(g - 1))):
+            rep.record(f"g={g} piece at {format_rat(p.lo)}", "non-decreasing", "decreasing piece")
+        if prev_val is not None and p.value_at(p.lo) < prev_val:
+            rep.record(f"g={g} mu={format_rat(p.lo)}", "non-decreasing", "drop at joint")
+        prev_val = p.value_at(min(p.hi, Fraction(g - 1)))
 
 
 def verify_teixidor_gap(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> SweepReport:
     """Same one-sided unit gap for the parallelogram boundary, plus its
     continuity and monotonicity."""
-    if not (3 <= g_lo <= g_hi):
-        raise ValueError("need 3 <= g_lo <= g_hi")
-    _check_max_den(max_den)
-    rep = SweepReport("boundary_gap_t", g_lo, g_hi, max_den)
-    rep = _run_per_genus(_prop_boundary_gap_one_genus,
-                         [(g, max_den, "boundary_gap_t") for g in range(g_lo, g_hi + 1)], rep)
-    for g in range(g_lo, g_hi + 1):
-        fn = teixidor_boundary(g)
-        prev_val = None
-        for a, b in zip(fn.pieces, fn.pieces[1:]):
-            rep.checks_run += 1
-            if a.value_at(a.hi) != b.value_at(b.lo):
-                rep.record(f"g={g} mu={format_rat(a.hi)}", "continuous at the joint",
-                           f"{format_rat(a.value_at(a.hi))} vs {format_rat(b.value_at(b.lo))}")
-        for p in fn.pieces:
-            if p.lo >= g - 1:
-                break
-            rep.checks_run += 1
-            if p.slope < 0 or p.value_at(p.lo) > p.value_at(min(p.hi, Fraction(g - 1))):
-                rep.record(f"g={g} piece at {format_rat(p.lo)}", "non-decreasing", "decreasing piece")
-            if prev_val is not None and p.value_at(p.lo) < prev_val:
-                rep.record(f"g={g} mu={format_rat(p.lo)}", "non-decreasing", "drop at joint")
-            prev_val = p.value_at(min(p.hi, Fraction(g - 1)))
-    return rep
+    return _sweep("boundary_gap_t", 3, g_lo, g_hi, max_den,
+                  partial(_boundary_gap, teixidor_boundary), _teixidor_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +201,34 @@ def verify_teixidor_gap(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> Swe
 # ---------------------------------------------------------------------------
 
 
-def _inclusions_one_genus(args) -> SweepReport:
-    g, max_den = args
-    rep = SweepReport("inclusions", g, g, max_den)
+def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
     D = g * math.lcm(*range(1, max_den + 1), 8)
     k = _IntKernel(g, D)
     delta = D // (8 * g)
 
+    def cover(dp, s, mus, tiles, levels, facts):
+        """One check per point: each slope in mus, at heights around the
+        tiles' tops and the integer levels.  A fact (i, j, (a, h), expected,
+        observed) says that a point of tiles[i] lies in tiles[j] or on the
+        sliver {mu = a, 0 < lam < h}; tiles[j] is tested only at the points
+        of tiles[i]."""
+        for mu in mus:
+            M = k.at_scale(mu)
+            for L in _lam_samples([t.top(M) for t in tiles] + [x * D for x in levels], delta):
+                rep.checks_run += 1
+                for i, j, sliver, expected, observed in facts:
+                    if (tiles[i].contains(M, L) and not tiles[j].contains(M, L)
+                            and not (sliver and M == sliver[0] * D and 0 < L < sliver[1] * D)):
+                        rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", expected, observed)
+
     # chain: shifted-BGN inside shifted-M inside next shifted-BGN
     for s in range(1, g):
         for dp in range(0, g - 2):
-            inner_t = k.shifted_tile("bgn", dp + 1, s)
-            mid_t = k.shifted_tile("m", dp, s)
-            outer_t = k.shifted_tile("bgn", dp + 1, s + 1)
-            for mu in rationals_between(dp + 1, dp + 2, max_den, include_hi=True):
-                M = k.at_scale(mu)
-                tops = [inner_t.top(M), mid_t.top(M), outer_t.top(M), s * D, (s + 1) * D]
-                for L in _lam_samples(tops, delta):
-                    rep.checks_run += 1
-                    inner = inner_t.contains(M, L)
-                    mid = mid_t.contains(M, L)
-                    outer = outer_t.contains(M, L)
-                    if inner and not mid:
-                        rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", "inner tile inside shifted-M", "outside")
-                    if mid and not outer:
-                        rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", "shifted-M inside next tile", "outside")
+            cover(dp, s, rationals_between(dp + 1, dp + 2, max_den, include_hi=True),
+                  [k.shifted_tile("bgn", dp + 1, s), k.shifted_tile("m", dp, s),
+                   k.shifted_tile("bgn", dp + 1, s + 1)], (s, s + 1),
+                  [(0, 1, None, "inner tile inside shifted-M", "outside"),
+                   (1, 2, None, "shifted-M inside next tile", "outside")])
 
     # reflected-M tile lands in the shifted-BGN tile (plus its sliver)
     for s in range(1, g):
@@ -274,18 +241,9 @@ def _inclusions_one_genus(args) -> SweepReport:
             rep.checks_run += 1
             if d1 - 1 < line_degree_bound_int(g, s1):
                 rep.record(f"g={g} d'={dp} s={s}", "d1-1 above the threshold", f"d1={d1}")
-            reflected = k.reflected_tile("m", dp, s)
-            target = k.shifted_tile("bgn", d1 - 1, s1)
-            for mu in rationals_between(d1 - 1, d1, max_den, include_lo=True):
-                M = k.at_scale(mu)
-                tops = [reflected.top(M), target.top(M), (s1 - 1) * D, s1 * D]
-                for L in _lam_samples(tops, delta):
-                    rep.checks_run += 1
-                    if reflected.contains(M, L):
-                        ok = target.contains(M, L) or (M == (d1 - 1) * D and 0 < L < (s1 - 1) * D)
-                        if not ok:
-                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}",
-                                       "reflected-M point covered", "uncovered")
+            cover(dp, s, rationals_between(d1 - 1, d1, max_den, include_lo=True),
+                  [k.reflected_tile("m", dp, s), k.shifted_tile("bgn", d1 - 1, s1)], (s1 - 1, s1),
+                  [(0, 1, (d1 - 1, s1 - 1), "reflected-M point covered", "uncovered")])
 
     # reflected-BGN tile lands in the next shifted-BGN tile when past the threshold
     for s in range(1, g):
@@ -293,18 +251,9 @@ def _inclusions_one_genus(args) -> SweepReport:
             d1, s1 = u_params(g, dp, s)
             if d1 < line_degree_bound_int(g, s1 + 1):
                 continue
-            reflected = k.reflected_tile("bgn", dp, s)
-            target = k.shifted_tile("bgn", d1, s1 + 1)
-            for mu in rationals_between(d1, d1 + 1, max_den, include_lo=True):
-                M = k.at_scale(mu)
-                tops = [reflected.top(M), target.top(M), s1 * D, (s1 + 1) * D]
-                for L in _lam_samples(tops, delta):
-                    rep.checks_run += 1
-                    if reflected.contains(M, L):
-                        ok = target.contains(M, L) or (M == d1 * D and 0 < L < s1 * D)
-                        if not ok:
-                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}",
-                                       "reflected-BGN point covered", "uncovered")
+            cover(dp, s, rationals_between(d1, d1 + 1, max_den, include_lo=True),
+                  [k.reflected_tile("bgn", dp, s), k.shifted_tile("bgn", d1, s1 + 1)], (s1, s1 + 1),
+                  [(0, 1, (d1, s1), "reflected-BGN point covered", "uncovered")])
 
     # replacement step: the last shifted-M tile of a chain sits inside the
     # reflected-BGN tile (plus a sliver) when the next threshold is hit exactly
@@ -313,29 +262,14 @@ def _inclusions_one_genus(args) -> SweepReport:
             d1, s1 = u_params(g, dp, s)
             if s1 < 1 or d1 + 1 != line_degree_bound_int(g, s1 + 1) or d1 + 1 > g - 1:
                 continue
-            replacement = k.reflected_tile("bgn", dp, s)
-            last = k.shifted_tile("m", d1 - 1, s1)
-            for mu in rationals_between(d1, d1 + 1, max_den, include_hi=True):
-                M = k.at_scale(mu)
-                tops = [replacement.top(M), last.top(M), (s1 - 1) * D, s1 * D]
-                for L in _lam_samples(tops, delta):
-                    rep.checks_run += 1
-                    if last.contains(M, L):
-                        ok = replacement.contains(M, L) or (M == (d1 + 1) * D and 0 < L < s1 * D)
-                        if not ok:
-                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}",
-                                       "last chain tile inside the replacement", "uncovered")
-    return rep
+            cover(dp, s, rationals_between(d1, d1 + 1, max_den, include_hi=True),
+                  [k.shifted_tile("m", d1 - 1, s1), k.reflected_tile("bgn", dp, s)], (s1 - 1, s1),
+                  [(0, 1, (d1 + 1, s1), "last chain tile inside the replacement", "uncovered")])
 
 
 def verify_inclusions(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport:
     """Tile-inclusion chain and the three reflected-tile coverage facts."""
-    if not (4 <= g_lo <= g_hi):
-        raise ValueError("need 4 <= g_lo <= g_hi")
-    _check_max_den(max_den)
-    rep = SweepReport("inclusions", g_lo, g_hi, max_den)
-    return _run_per_genus(_inclusions_one_genus,
-                          [(g, max_den) for g in range(g_lo, g_hi + 1)], rep)
+    return _sweep("inclusions", 4, g_lo, g_hi, max_den, _inclusions)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +277,7 @@ def verify_inclusions(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepR
 # ---------------------------------------------------------------------------
 
 
-def _sigma_one_genus(args) -> SweepReport:
-    g, max_den = args
-    rep = SweepReport("sigma", g, g, max_den)
+def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
     D = g * math.lcm(*range(1, max_den + 1), max(8, max_den))
     k = _IntKernel(g, D)
     f, t, h = k.f, k.scaled(teixidor_boundary(g)), k.scaled(hyper_boundary(g))
@@ -380,17 +312,12 @@ def _sigma_one_genus(args) -> SweepReport:
             rep.checks_run += 1
             if k.in_bmno_h(M, L) != k.in_bmno_h(SM, SL):
                 rep.record(f"g={g} p={_point(M, L, D)}", "membership invariant", "differs")
-    return rep
 
 
 def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport:
     """Region memberships and the normalized count agree at each point and
     its duality reflection; the assembled boundary graph is self-dual."""
-    if not (3 <= g_lo <= g_hi):
-        raise ValueError("need 3 <= g_lo <= g_hi")
-    _check_max_den(max_den)
-    rep = SweepReport("sigma", g_lo, g_hi, max_den)
-    return _run_per_genus(_sigma_one_genus, [(g, max_den) for g in range(g_lo, g_hi + 1)], rep)
+    return _sweep("sigma", 3, g_lo, g_hi, max_den, _sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +325,7 @@ def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport
 # ---------------------------------------------------------------------------
 
 
-def _oracle_one_genus(args) -> SweepReport:
-    g, n_max = args
-    rep = SweepReport("oracle", g, g, n_max)
+def _oracle(rep: SweepReport, g: int, n_max: int) -> None:
     nonemptyish = (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
     classes = [CurveClass.ARBITRARY, CurveClass.HYPERELLIPTIC, CurveClass.GENERIC]
     if g >= 3:
@@ -442,18 +367,12 @@ def _oracle_one_genus(args) -> SweepReport:
                             if 0 < mu <= 2 * g - 2 and mu < 2 * lam - 2:
                                 rep.record(f"g={g} {t} {c.value}", "below the Clifford edge",
                                            r.verdict.value)
-    return rep
 
 
 def verify_oracle(g_max: int = 6, n_max: int = 5, g_lo: int = 2) -> SweepReport:
     """No contradictions, section-count monotonicity, duality consistency,
     hyperelliptic sharpness and Clifford soundness over the full window."""
-    if not (2 <= g_lo <= g_max):
-        raise ValueError("need 2 <= g_lo <= g_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rep = SweepReport("oracle", g_lo, g_max, n_max)
-    return _run_per_genus(_oracle_one_genus, [(g, n_max) for g in range(g_lo, g_max + 1)], rep)
+    return _sweep("oracle", 2, g_lo, g_max, n_max, _oracle, hi="g_max", param_name="n_max")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +441,8 @@ def compare_regions(g: int, max_den: int = 8) -> RegionComparison:
     the comparison is between the region polygons, so the isolated stable-mode
     corner exclusions do not generate spurious differences.
     """
-    _check_max_den(max_den)
+    if max_den < 1:
+        raise ValueError(f"max_den must be >= 1, got {max_den}")
     f = bmno_boundary(g)
     t = teixidor_boundary(g)
     only_b: list[BNPoint] = []

@@ -20,7 +20,6 @@ from fractions import Fraction
 import pytest
 
 from bnlocus.arith import (
-    Stability,
     Triple,
     hyper_h0_bound,
     line_degree_bound,

@@ -92,6 +92,8 @@ def test_verify_suite(capsys):
     ("compare", "--genus", "4", "--max-den", "0"),
     ("enumerate", "--genus", "4", "--max-rank", "0"),
     ("enumerate", "--genus", "1", "--max-rank", "0"),
+    ("verify", "--suite", "oracle", "--max-den", "0"),
+    ("verify", "--suite", "prop411", "--max-rank", "-7"),
 ])
 def test_verify_explicit_zero_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)

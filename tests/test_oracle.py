@@ -6,7 +6,6 @@ import pytest
 from bnlocus.arith import Stability, Triple, serre_dual_triple
 from bnlocus.oracle import (
     Classification,
-    ContradictionError,
     CurveClass,
     Verdict,
     annotate_geometry,

@@ -10,13 +10,10 @@ from bnlocus.arith import (
     bn_curve_gap_cmp,
     line_degree_bound,
     point,
-    rho_tilde,
     serre_dual_point,
 )
 from bnlocus.regions import (
     BmnoMode,
-    BoundaryFn,
-    Piece,
     RegionId,
     RegionKind,
     apply_t,

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bnlocus.arith import Stability, Triple
-from bnlocus.oracle import CurveClass, Verdict, classify
+from bnlocus.oracle import CurveClass, Verdict
 from bnlocus.sweep import (
     CSV_HEADER,
     classification_csv,
@@ -83,25 +82,6 @@ def test_reports_are_deterministic():
     a = verify_prop_4_11(3, 6, 6).to_json_dict()
     b = verify_prop_4_11(3, 6, 6).to_json_dict()
     assert json.dumps(a) == json.dumps(b)
-
-
-def test_parallel_matches_sequential(monkeypatch):
-    sequential = verify_prop_4_11(3, 8, 6).to_json_dict()
-    monkeypatch.setenv("BN_LOCUS_THREADS", "3")
-    parallel = verify_prop_4_11(3, 8, 6).to_json_dict()
-    assert json.dumps(sequential) == json.dumps(parallel)
-    monkeypatch.delenv("BN_LOCUS_THREADS")
-    sequential = verify_sigma(4, 6, 4).to_json_dict()
-    monkeypatch.setenv("BN_LOCUS_THREADS", "2")
-    parallel = verify_sigma(4, 6, 4).to_json_dict()
-    assert json.dumps(sequential) == json.dumps(parallel)
-
-
-def test_threads_env_validation(monkeypatch):
-    for raw in ("many", "0", "-5"):
-        monkeypatch.setenv("BN_LOCUS_THREADS", raw)
-        with pytest.raises(ValueError):
-            verify_prop_4_11(3, 4, 4)
 
 
 def test_enumerate_rows_and_order():

@@ -1,5 +1,7 @@
 """Command-line frontend: subcommands, formats, exit codes."""
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -146,3 +148,56 @@ def test_byte_identical_output(capsys):
     b = run(capsys, "classify", "--genus", "4", "--rank", "2", "--degree", "7",
             "--sections", "4", "--curve", "hyperelliptic", "--json")[1]
     assert a == b
+
+
+_CLASSIFY = "classify --genus 3 --rank 2 --degree 2 --sections 2"
+
+# sha256 of json.dumps([exit code, stdout, stderr]) at COLUMNS=80, recorded
+# while every request still built the parser of all eight subcommands; keyed
+# by the space-joined argv.  argparse words and wraps its texts differently
+# from one Python minor version to the next, so the digests hold for 3.11.
+CLI_TEXTS = [
+    ("", "47b7400ebf7fee253124fbd394672756a2a64e4c05c15aedab754c86cc304862"),
+    ("-h", "b0a237b22de7757461ced4b729b7838581201e04f9b57074b4bd61f2d76142f1"),
+    ("--help", "b0a237b22de7757461ced4b729b7838581201e04f9b57074b4bd61f2d76142f1"),
+    ("-h classify", "b0a237b22de7757461ced4b729b7838581201e04f9b57074b4bd61f2d76142f1"),
+    ("foo", "2fab3ad454552f6f3d82af6e559d8009a178bb8157f4194985705860e361a35f"),
+    ("classif", "330bf72ee4ec32794c3ca48f747c241d37f6f7ffa489f636a2275d6901ba8ce6"),
+    ("--bogus", "47b7400ebf7fee253124fbd394672756a2a64e4c05c15aedab754c86cc304862"),
+    ("--bogus classify", "047d0a4ac2376cc1f869ba94c1a5a7099228dccc564987810c0a65126a98b6b6"),
+    ("classify", "047d0a4ac2376cc1f869ba94c1a5a7099228dccc564987810c0a65126a98b6b6"),
+    ("classify -h", "9ecf86ba7a6732eaee243ba8d5861dc241a566ab922d84a8f0de5276dbfd4662"),
+    ("classify --nope", "047d0a4ac2376cc1f869ba94c1a5a7099228dccc564987810c0a65126a98b6b6"),
+    ("boundary", "2a447c1c483e5199e0392839ee537e54617eda6f9fdbdb18cd8c2f51024c93de"),
+    ("boundary -h", "ba31f7c8f1adce9169e0a6070ed1d1423df1711702aa07623aa7dde9508b23b9"),
+    ("boundary --nope", "2a447c1c483e5199e0392839ee537e54617eda6f9fdbdb18cd8c2f51024c93de"),
+    ("region", "9e3ed1557090015a67131c1d68b24230c50f1c21f468a20b5d926fb8c5b2b998"),
+    ("region -h", "3f7bb9eb0caf8807cd74856607e4ca2cdbc124fd4c746de5fccc236001695b7a"),
+    ("region --nope", "9e3ed1557090015a67131c1d68b24230c50f1c21f468a20b5d926fb8c5b2b998"),
+    ("polyline", "8212fb35f5fbd54f51a80a87103dff513e650ddbbb906c581ca2982a6b5758df"),
+    ("polyline -h", "bda59c2d193c47474b6e980b9ad72b113374157f568ac09c7f078bca29e25274"),
+    ("polyline --nope", "8212fb35f5fbd54f51a80a87103dff513e650ddbbb906c581ca2982a6b5758df"),
+    ("plot", "180ab942ad842d8fc436e199969ae20501a6168d7eb30dfa961c1e32d79ef8f0"),
+    ("plot -h", "908775b416f62d721471b15666f877ba7ebfc196c406e11c3e8a54ae06c26897"),
+    ("plot --nope", "180ab942ad842d8fc436e199969ae20501a6168d7eb30dfa961c1e32d79ef8f0"),
+    ("enumerate", "691a6cfdc00edda598e67bbd191ee8289ec84fba22f87e3b9f5093f88910f8a1"),
+    ("enumerate -h", "db91e7ec664b6b67176d4b9545903255e327a1eddcc75822d8c8074bb573e11e"),
+    ("enumerate --nope", "691a6cfdc00edda598e67bbd191ee8289ec84fba22f87e3b9f5093f88910f8a1"),
+    ("verify", "dbfb426ded31fede7e5e8e15729d8cdb87a892acca68202d3736257f679ff617"),
+    ("verify -h", "dd7d1fec21fbd23668a62555cd07bf81a8a3b3309a2c630540214f03272d6734"),
+    ("verify --nope", "dbfb426ded31fede7e5e8e15729d8cdb87a892acca68202d3736257f679ff617"),
+    ("compare", "37bd73a1ca853bd31633a6a12683366e5849585f95496965f6d8a82f0bb52aec"),
+    ("compare -h", "acdd86a8d833f5746a18adc8ccf5afefbb3d46020f943100508f2fb6711b43ee"),
+    ("compare --nope", "37bd73a1ca853bd31633a6a12683366e5849585f95496965f6d8a82f0bb52aec"),
+    (_CLASSIFY + " --bogus", "2740585652622837a9ec3c3e62f631c1f76cb2eca5f0602381aa9b74a32229ed"),
+    (_CLASSIFY + " --curve nope", "2134c426d8a7f6a90ea69914121cab4dbd40d5b5f5c550e3db5c28eb4bb80a09"),
+    ("classify --genus x --rank 2 --degree 2 --sections 2", "61138109a794558d454ddb765dbb28a8ab877458f4dadf9a7edcc6e36775729e"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse texts recorded under Python 3.11")
+@pytest.mark.parametrize("argv, digest", CLI_TEXTS, ids=[a or "<empty>" for a, _ in CLI_TEXTS])
+def test_cli_text_golden(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    record = json.dumps(list(run(capsys, *argv.split())))
+    assert hashlib.sha256(record.encode()).hexdigest() == digest

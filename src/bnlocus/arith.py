@@ -153,18 +153,23 @@ def serre_dual_triple(g: int, t: Triple) -> Triple:
     return Triple(t.n, 2 * t.n * (g - 1) - t.d, t.k + t.n * (g - 1) - t.d)
 
 
-def line_degree_bound(g: int, s: int) -> Fraction:
-    """Least degree (s-1)(s+g)/s at which every genus-g curve carries a line
-    bundle with s independent sections (the rank-one existence threshold)."""
+def _check_sections(g: int, s: int) -> None:
     check_genus(g)
     if s < 1:
         raise ValueError(f"section count must be >= 1, got {s}")
+
+
+def line_degree_bound(g: int, s: int) -> Fraction:
+    """Least degree (s-1)(s+g)/s at which every genus-g curve carries a line
+    bundle with s independent sections (the rank-one existence threshold)."""
+    _check_sections(g, s)
     return Fraction((s - 1) * (s + g), s)
 
 
 def line_degree_bound_int(g: int, s: int) -> int:
     """Integer form of :func:`line_degree_bound` (least integer not smaller)."""
-    return math.ceil(line_degree_bound(g, s))
+    _check_sections(g, s)
+    return -(-(s - 1) * (s + g) // s)
 
 
 def line_degree_bound_strict(g: int, s: int) -> int:
@@ -174,7 +179,8 @@ def line_degree_bound_strict(g: int, s: int) -> int:
     an integer, and one less otherwise; it is the breakpoint sequence of the
     parallelogram-region boundary.
     """
-    return math.ceil(line_degree_bound(g, s) + Fraction(1, s)) - 1
+    _check_sections(g, s)
+    return -(-((s - 1) * (s + g) + 1) // s) - 1
 
 
 def hyper_window(mu) -> int:

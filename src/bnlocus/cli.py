@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Subcommands: classify, boundary, region, plot, enumerate, verify, compare.
+Subcommands: classify, boundary, region, polyline, plot, enumerate, verify,
+compare.
 Exit codes: 0 success (any verdict), 1 usage error, 2 internal
 contradiction, 3 I/O error.  Identical invocations produce byte-identical
 output.
@@ -182,14 +183,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bnlocus",
-        description="Exact nonemptiness oracle and region plotter for Brill-Noether loci.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify one (genus, rank, degree, sections) problem")
+def _classify_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
@@ -199,14 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("boundary", help="evaluate a boundary function at a rational slope")
+
+def _boundary_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--fn", choices=("f", "t", "h", "rho"), required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", default=None)
     p.set_defaults(func=cmd_boundary)
 
-    p = sub.add_parser("region", help="exact membership of a point in a region")
+
+def _region_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--id", required=True, help="p, r, bgn, m, bmno, teixidor, bmnoh, bncurve, tbgn:D:S, tm:D:S")
     p.add_argument("--mu", required=True)
@@ -216,13 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("polyline", help="emit a region boundary as exact-rational JSON segments")
+
+def _polyline_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_polyline)
 
-    p = sub.add_parser("plot", help="render regions to a deterministic SVG figure")
+
+def _plot_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--regions", default="", help="comma-separated region tokens")
     p.add_argument("--out", required=True)
@@ -231,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-bn-curve", action="store_true")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("enumerate", help="CSV table of classifications over a rank window")
+
+def _enumerate_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("--curve", choices=sorted(_CURVE_FLAGS), default="arbitrary")
@@ -239,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run an exhaustive verification suite")
+
+def _verify_args(p) -> None:
     p.add_argument("--suite", choices=_SUITES + ("all",), required=True)
     p.add_argument("--genus-min", type=int, default=None)
     p.add_argument("--genus-max", type=int, default=None)
@@ -248,17 +248,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", help="symmetric difference of the assembled and parallelogram regions")
+
+def _compare_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-den", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
+
+# subcommand -> (help line, function adding its arguments and handler), in
+# the order the help lists them
+_COMMANDS = {
+    "classify": ("classify one (genus, rank, degree, sections) problem", _classify_args),
+    "boundary": ("evaluate a boundary function at a rational slope", _boundary_args),
+    "region": ("exact membership of a point in a region", _region_args),
+    "polyline": ("emit a region boundary as exact-rational JSON segments", _polyline_args),
+    "plot": ("render regions to a deterministic SVG figure", _plot_args),
+    "enumerate": ("CSV table of classifications over a rank window", _enumerate_args),
+    "verify": ("run an exhaustive verification suite", _verify_args),
+    "compare": ("symmetric difference of the assembled and parallelogram regions", _compare_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    The narrow parser parses any argv that starts with ``command`` exactly as
+    the full one does, with the same help, usage and error texts: its usage
+    line still lists every subcommand.  It saves building the seven other
+    subparsers, which is most of the cost of a one-shot request.
+    """
+    parser = argparse.ArgumentParser(
+        prog="bnlocus",
+        description="Exact nonemptiness oracle and region plotter for Brill-Noether loci.",
+    )
+    if command is None:
+        # no metavar: argparse names the action "command" in its missing- and
+        # invalid-command errors, which only this parser reports
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    else:
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
+        names = (command,)
+    for name in names:
+        help_text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # an argv that does not start with a known subcommand (help, a typo, an
+    # option first) gets the full parser and its texts
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -73,6 +73,16 @@ def test_line_degree_bound_rejects_bad_s():
         line_degree_bound(5, 0)
     with pytest.raises(ValueError):
         line_degree_bound_int(5, -1)
+    with pytest.raises(ValueError):
+        line_degree_bound_strict(5, 0)
+
+
+def test_integer_bounds_match_fraction_forms():
+    for g in range(2, 81):
+        for s in range(1, g + 3):
+            bound = line_degree_bound(g, s)
+            assert line_degree_bound_int(g, s) == math.ceil(bound)
+            assert line_degree_bound_strict(g, s) == math.ceil(bound + Fraction(1, s)) - 1
 
 
 def test_hyper_h0_bound_examples():

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from bnlocus.cli import main
+from bnlocus import cli
+from bnlocus.cli import _COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -201,3 +202,48 @@ def test_cli_text_golden(capsys, monkeypatch, argv, digest):
     monkeypatch.setenv("COLUMNS", "80")
     record = json.dumps(list(run(capsys, *argv.split())))
     assert hashlib.sha256(record.encode()).hexdigest() == digest
+
+
+# one valid argv for each subcommand, in the order of the command table
+VALID = {
+    "classify": _CLASSIFY + " --curve hyperelliptic --json",
+    "boundary": "boundary --genus 10 --fn rho --mu 9 --lambda 3",
+    "region": "region --genus 10 --id tbgn:2:3 --mu 7 --lambda 2 --mode semistable",
+    "polyline": "polyline --genus 10 --id teixidor --out p.json",
+    "plot": "plot --genus 10 --regions bmno,teixidor --out fig.svg --no-bn-curve",
+    "enumerate": "enumerate --genus 2 --max-rank 1 --semistable",
+    "verify": "verify --suite all --genus-max 8 --max-den 3 --max-rank 2",
+    "compare": "compare --genus 12 --max-den 6",
+}
+
+
+def test_narrow_parser_matches_full():
+    full = build_parser()
+    (command,) = [a for a in full._actions if a.dest == "command"]
+    assert list(command.choices) == list(_COMMANDS) == list(VALID)
+    for name, argv in VALID.items():
+        assert vars(build_parser(name).parse_args(argv.split())) == vars(full.parse_args(argv.split()))
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, *VALID["boundary"].split())[0] == 0
+    assert run(capsys, "-h")[0] == 0
+    assert run(capsys, "classif")[0] == 1
+    assert built == ["boundary", None, None]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the path of ``python -m bnlocus`` and of the console script
+    monkeypatch.setattr(sys, "argv", ["bnlocus", "boundary", "--genus", "10", "--fn", "f", "--mu", "13/2"])
+    assert main() == 0
+    assert capsys.readouterr().out == "19/10\n"
+    monkeypatch.setattr(sys, "argv", ["bnlocus"])
+    assert main(None) == 1
+    assert "required: command" in capsys.readouterr().err

@@ -297,8 +297,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     # an argv that does not start with a known subcommand (help, a typo, an
     # option first) gets the full parser and its texts
     command = argv[0] if argv and argv[0] in _COMMANDS else None

@@ -236,7 +236,8 @@ def test_main_builds_one_parser(capsys, monkeypatch):
     assert run(capsys, *VALID["boundary"].split())[0] == 0
     assert run(capsys, "-h")[0] == 0
     assert run(capsys, "classif")[0] == 1
-    assert built == ["boundary", None, None]
+    assert main(iter(VALID["boundary"].split())) == 0  # any iterable, as argparse takes
+    assert built == ["boundary", None, None, "boundary"]
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

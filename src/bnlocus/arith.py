@@ -173,14 +173,15 @@ def line_degree_bound_int(g: int, s: int) -> int:
 
 
 def line_degree_bound_strict(g: int, s: int) -> int:
-    """Least integer D with rho_tilde(D+1, s) >= 0.
+    """Least integer D with rho_tilde(D+1, s) >= 0: the floor of
+    :func:`line_degree_bound`.
 
     Equals :func:`line_degree_bound_int` when the rational bound is already
     an integer, and one less otherwise; it is the breakpoint sequence of the
     parallelogram-region boundary.
     """
     _check_sections(g, s)
-    return -(-((s - 1) * (s + g) + 1) // s) - 1
+    return (s - 1) * (s + g) // s
 
 
 def hyper_window(mu) -> int:

@@ -282,15 +282,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="bnlocus",
         description="Exact nonemptiness oracle and region plotter for Brill-Noether loci.",
     )
-    if command is None:
-        # no metavar: argparse names the action "command" in its missing- and
-        # invalid-command errors, which only this parser reports
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = _COMMANDS
-    else:
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
-        names = (command,)
-    for name in names:
+    # the full parser keeps no metavar: argparse names the action "command" in
+    # the missing- and invalid-command errors, which only that parser reports
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
         help_text, add_args = _COMMANDS[name]
         add_args(sub.add_parser(name, help=help_text))
     return parser

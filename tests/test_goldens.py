@@ -123,14 +123,16 @@ def test_membership_bitmap_golden(g):
     assert _digest(lines) == MEMBERSHIP[g]
 
 
-def test_classify_golden():
+def _classify_lines(genera, ranks) -> list[str]:
+    """Every verdict, with its evidence and attempted rules, over the whole
+    0 <= mu <= 2g-2, 0 < k <= n + d window of each genus and rank."""
     lines = []
-    for g in range(2, 6):
+    for g in genera:
         for c in CurveClass:
             if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
                 continue
             for m in Stability:
-                for n in range(1, 4):
+                for n in ranks:
                     for d in range(0, 2 * n * (g - 1) + 1):
                         for k in range(1, n + d + 1):
                             try:
@@ -139,7 +141,18 @@ def test_classify_golden():
                                 lines.append(f"contradiction {exc}")
                                 continue
                             lines.append(json.dumps(r.to_json_dict()) + " " + ",".join(r.rules_attempted))
+    return lines
+
+
+def test_classify_golden():
+    lines = _classify_lines(range(2, 6), range(1, 4))
     assert _digest(lines) == "12e06c340dd28733e2d75e84d1c308dc891f8a27c659999cd4906d369c153093"
+
+
+def test_classify_golden_larger_genera():
+    """Genera 6..10, where most Teixidor columns and hyperelliptic strips lie."""
+    lines = _classify_lines(range(6, 11), range(1, 3))
+    assert _digest(lines) == "716ef11075aefc341f18fb266532cbce4210b5bade5ba096649a8a5a88bf287b"
 
 
 def test_sweep_reports_golden():

@@ -184,9 +184,12 @@ def line_degree_bound_strict(g: int, s: int) -> int:
     return (s - 1) * (s + g) // s
 
 
-def hyper_window(mu) -> int:
-    """The hyperelliptic slope window holding mu: the s with 2s-2 < mu <= 2s."""
-    return math.ceil(Fraction(mu, 2))
+def hyper_window(mu, scale: int = 1) -> int:
+    """The hyperelliptic slope window holding mu/D: the s with 2s-2 < mu/D <= 2s.
+
+    ``mu`` is an int or a Fraction; at scale D = n a rank-n triple passes d.
+    """
+    return -(-mu // (2 * scale))
 
 
 def hyper_h0_bound(g: int, s: int, n: int, d: int) -> Fraction:

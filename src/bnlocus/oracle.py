@@ -13,6 +13,13 @@ non-hyperelliptic classifications when they agree.  Both go through one
 function, ``_evidence``: it gathers the direct and dichotomy evidence of a
 triple and adds the serre step, both for the requested class and for each
 side of the dichotomy.
+
+The rules decide on the integers (n, d, k) of a triple and build no
+``Fraction``: slope conditions are cross-multiplied (mu < 2 lam - 2 is
+d < 2k - 2n), and the region tests read the triple's point (d/n, k/n) as
+(d, k) at scale n.  They are held to the ``Fraction`` functions
+``in_teixidor``, ``hyper_strip`` at scale 1, ``hyper_window`` and
+``rho_tilde`` by a differential test.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ from .arith import (
     rho,
     serre_dual_triple,
 )
-from .regions import hyper_strip, in_teixidor
+from .regions import _IntScale, hyper_strip
 
 
 class CurveClass(Enum):
@@ -160,12 +167,12 @@ def _rule_riemann_roch(g, t, c, m):
 
 
 def _rule_clifford(g, t, c, m):
-    mu, lam = t.mu, t.lam
-    if t.d < 0 or t.k <= 0:
+    n, d, k = t.n, t.d, t.k
+    if d < 0 or k <= 0:
         return []
-    if 0 <= mu <= 2 * g - 2 and mu < 2 * lam - 2:
+    if d <= (2 * g - 2) * n and d < 2 * k - 2 * n:  # mu <= 2g-2 and mu < 2 lam - 2
         return [_ev("clifford", "empty", "Clifford bound for special (semi)stable bundles")]
-    if mu > 2 * g - 2 and t.k > t.d - t.n * (g - 1):
+    if d > (2 * g - 2) * n and k > d - n * (g - 1):
         return [_ev("high_slope", "empty",
                     "design decision: h1 vanishes for (semi)stable slope above 2g-2, so h0 = chi")]
     return []
@@ -214,8 +221,8 @@ def _rule_edges(g, t, c, m):
 def _rule_re_bound(g, t, c, m):
     if not _nonhyper_rules_allowed(g, c):
         return []
-    mu, lam = t.mu, t.lam
-    if t.k >= 1 and 1 <= mu <= 2 * g - 3 and mu < 2 * lam - 1:
+    n, d, k = t.n, t.d, t.k
+    if k >= 1 and n <= d <= (2 * g - 3) * n and d < 2 * k - n:  # 1 <= mu <= 2g-3, mu < 2 lam - 1
         return [_ev("re_bound", "empty",
                     "Re's sharpening of the Clifford bound on non-hyperelliptic curves")]
     return []
@@ -290,12 +297,13 @@ def _rule_tensor(g, t, c, m):
     if k < 1 or d < 0:
         return []
     out = []
+    hyper = _hyper_rules_allowed(g, c)
+    candidates = _shift_candidates(n, d)
     for s in range(1, g + 1):
-        threshold = 0 if s == 1 else line_degree_bound_int(g, s)
-        if _hyper_rules_allowed(g, c):
-            threshold = min(threshold, 2 * s - 2) if s > 1 else 0
+        line_bound = 0 if s == 1 else line_degree_bound_int(g, s)
+        threshold = min(line_bound, 2 * s - 2) if hyper else line_bound
         k0 = -(-k // s)  # ceil(k/s)
-        for dp, rem in _shift_candidates(n, d):
+        for dp, rem in candidates:
             if dp < threshold:
                 continue
             corner = (rem, k0) == (n, n) and n >= 2
@@ -303,7 +311,7 @@ def _rule_tensor(g, t, c, m):
                 rule = "tensor_effective" if s == 1 else "tensor_sections"
                 cite = ("twist by an effective line bundle"
                         if s == 1 else "twist by a line bundle with s independent sections")
-                if _hyper_rules_allowed(g, c) and s > 1 and dp < line_degree_bound_int(g, s):
+                if dp < line_bound:
                     cite += " (hyperelliptic pencil powers lower the degree threshold)"
                 out.append(_ev(rule, "nonempty", cite, d_shift=dp, remainder=rem, s=s, k0=k0))
                 if rem == n:
@@ -311,7 +319,7 @@ def _rule_tensor(g, t, c, m):
                                    "integer-slope specialization of the twisting criterion",
                                    d_shift=dp, s=s, k0=k0))
                 break  # one witness per s suffices
-        if m is Stability.SEMISTABLE and n * (d // n) == d:
+        if m is Stability.SEMISTABLE and d % n == 0:
             dp = d // n
             if dp >= threshold and k0 <= n:
                 out.append(_ev("tensor_sections_semistable", "nonempty",
@@ -324,13 +332,10 @@ def _rule_fractional_fill(g, t, c, m):
     """Non-integral slopes beyond the s-section threshold with lam <= s are
     all realized (rounding argument on the section count)."""
     n, d, k = t.n, t.d, t.k
-    if k < 1 or d % n == 0:
+    if k < 1 or d % n == 0 or k > g * n:  # lam > g
         return []
-    lam = t.lam
-    if lam > g:
-        return []
-    s = max(1, math.ceil(lam))
-    if t.mu > line_degree_bound_int(g, s) + 1:
+    s = -(-k // n)  # ceil(lam)
+    if d > (line_degree_bound_int(g, s) + 1) * n:
         return [_ev("fractional_slope_fill", "nonempty",
                     "non-integral slopes past the threshold carry bundles at every rank", s=s)]
     return []
@@ -339,7 +344,7 @@ def _rule_fractional_fill(g, t, c, m):
 def _rule_teixidor(g, t, c, m):
     if g < 3 or t.k < 1 or t.d < 0:
         return []
-    if in_teixidor(g, t.point(), m):
+    if _IntScale(g, t.n).in_teixidor(t.d, t.k, m):  # the triple's point is (d, k) at scale n
         return [_ev("teixidor", "nonempty",
                     "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)")]
     return []
@@ -349,16 +354,14 @@ def _rule_hyper_bounds(g, t, c, m):
     if not _hyper_rules_allowed(g, c) or t.k < 1 or t.d < 0:
         return []
     n, d, k = t.n, t.d, t.k
-    mu = t.mu
     out = []
-    if d % (2 * n) != 0 or mu > 2 * g - 2:
-        s = hyper_window(mu)
-        if s <= g and mu < 2 * s:
-            bound = hyper_h0_bound(g, s, n, d)
-            if k > bound:
-                out.append(_ev("hyper_h0_bound", "empty",
-                               "hyperelliptic section bound for slopes strictly between 2s-2 and 2s",
-                               s=s, bound=format_rat(bound)))
+    if d % (2 * n) != 0 or d > (2 * g - 2) * n:
+        s = hyper_window(d, n)
+        # mu < 2s, and k > hyper_h0_bound(g, s, n, d) multiplied through by g
+        if s <= g and d < 2 * s * n and g * (k - s * n) > s * (d - (2 * s - 1) * n):
+            out.append(_ev("hyper_h0_bound", "empty",
+                           "hyperelliptic section bound for slopes strictly between 2s-2 and 2s",
+                           s=s, bound=format_rat(hyper_h0_bound(g, s, n, d))))
     else:
         s = d // (2 * n)
         if 0 <= s <= g - 1:
@@ -377,7 +380,7 @@ def _rule_hyper_strips(g, t, c, m):
         return []
     n, d, k = t.n, t.d, t.k
     out = []
-    strip = hyper_strip(g, t.mu, t.lam)
+    strip = hyper_strip(g, d, k, n)
     if strip is not None:
         s, dual = strip
         cite = ("duality image of the settled hyperelliptic band" if dual
@@ -401,7 +404,7 @@ def _rule_hyper_strips(g, t, c, m):
                                "stable bundles with sn-1 sections exist at every odd slope 2s-1", s=s))
     if m is Stability.SEMISTABLE and d % (2 * n) == 0:
         s = d // (2 * n)
-        if 0 <= s <= g - 1 and s < t.lam <= s + 1:
+        if 0 <= s <= g - 1 and s * n < k <= (s + 1) * n:
             out.append(_ev("hyper_semistable_segment", "nonempty",
                            "semistable even-slope segment up to the Clifford level", s=s))
     return out
@@ -453,6 +456,9 @@ _DIRECT_RULES = (
     _rule_known_points,
 )
 
+# every rule name, then the two engine steps: what an Unknown verdict reports as tried
+_RULES_ATTEMPTED = tuple(r.__name__.removeprefix("_rule_") for r in _DIRECT_RULES) + ("curve_dichotomy", "serre")
+
 
 # ---------------------------------------------------------------------------
 # engine
@@ -476,7 +482,7 @@ def _core_evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evid
 def _dichotomy_evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence, ...]:
     if c is not CurveClass.ARBITRARY or g < 3:
         return ()
-    hyp, non = (_combine(_evidence(g, t, cc, m), f"{t} [{cc.value},{m.value}]")
+    hyp, non = (_combine(_evidence(g, t, cc, m), t, cc, m)
                 for cc in (CurveClass.HYPERELLIPTIC, CurveClass.NON_HYPERELLIPTIC))
     cite = "every curve is hyperelliptic or not, and both cases agree"
     params = {"hyperelliptic": hyp.value, "non_hyperelliptic": non.value}
@@ -487,11 +493,12 @@ def _dichotomy_evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple
     return ()
 
 
-def _combine(evidence: tuple[Evidence, ...], where: str) -> Verdict:
+def _combine(evidence: tuple[Evidence, ...], t: Triple, c: CurveClass, m: Stability) -> Verdict:
+    """The verdict of the evidence gathered for t on class c, stability m."""
     kinds = {e.kind for e in evidence}
     if "empty" in kinds and (kinds & {"nonempty", "wholespace"}):
         detail = "; ".join(f"{e.rule}:{e.kind}" for e in evidence)
-        raise ContradictionError(f"contradictory evidence at {where}: {detail}")
+        raise ContradictionError(f"contradictory evidence at {t} [{c.value},{m.value}]: {detail}")
     if "wholespace" in kinds:
         return Verdict.WHOLE_SPACE
     if "nonempty" in kinds:
@@ -511,7 +518,7 @@ def _evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence,
     evidence = _core_evidence(g, t, c, m) + _dichotomy_evidence(g, t, c, m)
     dual = serre_dual_triple(g, t)
     dual_ev = _core_evidence(g, dual, c, m) + _dichotomy_evidence(g, dual, c, m)
-    dual_verdict = _combine(dual_ev, f"{dual} [{c.value},{m.value}]")
+    dual_verdict = _combine(dual_ev, dual, c, m)
     if dual_verdict in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE):
         primary = next(e.rule for e in dual_ev if e.kind in ("nonempty", "wholespace"))
         evidence += (_ev("serre", "nonempty", "duality carries nonemptiness across the reflection",
@@ -526,8 +533,7 @@ def _evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence,
 @lru_cache(maxsize=None)
 def _classify_cached(g: int, t: Triple, c: CurveClass, m: Stability) -> Classification:
     evidence = _evidence(g, t, c, m)
-    verdict = _combine(evidence, f"{t} [{c.value},{m.value}]")
-    attempted = tuple(r.__name__.removeprefix("_rule_") for r in _DIRECT_RULES) + ("curve_dichotomy", "serre")
+    verdict = _combine(evidence, t, c, m)
     return Classification(
         genus=g,
         triple=t,
@@ -537,7 +543,7 @@ def _classify_cached(g: int, t: Triple, c: CurveClass, m: Stability) -> Classifi
         evidence=evidence,
         rho=rho(g, t),
         annotations=tuple(annotate_geometry(g, t)),
-        rules_attempted=attempted if verdict is Verdict.UNKNOWN else (),
+        rules_attempted=_RULES_ATTEMPTED if verdict is Verdict.UNKNOWN else (),
     )
 
 

@@ -16,7 +16,8 @@ All memberships follow the strict/non-strict inequalities of the source
 criteria exactly, including the isolated excluded corner points.  Everything
 is a pure function of immutable values; region data is cached per genus.
 A private scaled-integer kernel answers the same membership questions on
-points scaled to a common denominator, for the verification sweeps.
+points scaled to a common denominator, for the verification sweeps; its
+Teixidor test (:class:`_IntScale`) also serves the oracle at scale n.
 """
 from __future__ import annotations
 
@@ -487,21 +488,24 @@ def in_bmno_h(g: int, p) -> bool:
     return mu == 2 * s and lam == s  # image of the known point (2, 1)
 
 
-def hyper_strip(g: int, mu: Fraction, lam: Fraction) -> tuple[int, bool] | None:
-    """The fully-settled hyperelliptic strip that holds (mu, lam), as (s, dual).
+def hyper_strip(g: int, mu, lam, scale: int = 1) -> tuple[int, bool] | None:
+    """The fully-settled hyperelliptic strip that holds (mu/D, lam/D), as (s, dual).
 
     For 1 <= s <= g-1 the strip is the band 2s-1 < mu <= 2s with
     0 < lam <= s (dual False), or its duality image 2s-2 <= mu < 2s-1 with
     0 < lam <= mu - s + 1 (dual True).  None when no strip holds the point.
-    Genus 2 is accepted: every genus-2 curve is hyperelliptic.
+    Genus 2 is accepted: every genus-2 curve is hyperelliptic.  With the
+    default scale D = 1, (mu, lam) is the point itself; the oracle passes a
+    rank-n triple as (d, k) at D = n.
     """
     check_genus(g)
+    D = scale
     if lam <= 0:
         return None
     for s in range(1, g):
-        if 2 * s - 1 < mu <= 2 * s and lam <= s:
+        if (2 * s - 1) * D < mu <= 2 * s * D and lam <= s * D:
             return s, False
-        if 2 * s - 2 <= mu < 2 * s - 1 and lam <= mu - s + 1:
+        if (2 * s - 2) * D <= mu < (2 * s - 1) * D and lam <= mu - (s - 1) * D:
             return s, True
     return None
 
@@ -628,7 +632,48 @@ class _IntBoundary:
         return den * L <= n * M + k
 
 
-class _IntKernel:
+class _IntScale:
+    """Points (M, L) = (mu*D, lam*D) of genus g at scale D, in integers.
+
+    Holds the duality, the normalized count and the Teixidor test, which is
+    the one integer body of :func:`in_teixidor`: the kernel inherits it for
+    the sweeps, and the oracle reads a rank-n triple (n, d, k) at D = n,
+    where its point is (d, k).
+    """
+
+    __slots__ = ("g", "D", "gd")
+
+    def __init__(self, g: int, scale: int):
+        self.g, self.D, self.gd = g, scale, (g - 1) * scale
+
+    def dual(self, M: int, L: int) -> tuple[int, int]:
+        return 2 * self.gd - M, L + self.gd - M
+
+    def rho_tilde(self, M: int, L: int) -> int:
+        """:func:`rho_tilde` scaled by D**2."""
+        return self.gd * self.D - L * (L - M + self.gd)
+
+    def in_teixidor(self, M: int, L: int, stability: Stability) -> bool:
+        if L <= 0:
+            raise ValueError(f"requires lam > 0, got {L}/{self.D}")
+        D = self.D
+        floor_mu, floor_lam = M - M % D, L - L % D
+        if L == floor_lam:
+            ok = self.rho_tilde(floor_mu, L) >= 0
+        elif L - floor_lam <= M - floor_mu:
+            ok = self.rho_tilde(floor_mu + D, floor_lam + D) >= 0
+        else:
+            ok = self.rho_tilde(floor_mu, floor_lam + D) >= 0
+        if not ok:
+            return False
+        if stability is Stability.STABLE and L == floor_lam and M == floor_mu:
+            dual_mu, dual_lam = self.dual(M, L)
+            if self.rho_tilde(M - D, L) < 0 and self.rho_tilde(dual_mu - D, dual_lam) < 0:
+                return False
+        return True
+
+
+class _IntKernel(_IntScale):
     """Integer membership tests of one genus on points (M, L) = (mu*D, lam*D).
 
     Answers what :func:`in_bmno`, :func:`in_teixidor`, :func:`in_bmno_h`, the
@@ -644,8 +689,7 @@ class _IntKernel:
         check_genus(g, 3)
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
-        self.g, self.D = g, scale
-        self.gd = (g - 1) * scale
+        super().__init__(g, scale)
         tiles = bmno_tiles(g)  # the BGN tile at 0, then the M tile at 1
         self._base = {t.base: _IntTile.of(t, scale) for t in tiles[:2]}
         self.f = _IntBoundary(bmno_boundary(g), scale)
@@ -671,13 +715,6 @@ class _IntKernel:
     def reflected_tile(self, kind: str, d_shift: int, s: int) -> _IntTile:
         """:func:`in_u_bgn_half` (kind 'bgn') or :func:`in_u_m_half` (kind 'm')."""
         return self.shifted_tile(kind, d_shift, s).reflected(self.gd)
-
-    def dual(self, M: int, L: int) -> tuple[int, int]:
-        return 2 * self.gd - M, L + self.gd - M
-
-    def rho_tilde(self, M: int, L: int) -> int:
-        """:func:`rho_tilde` scaled by D**2."""
-        return self.gd * self.D - L * (L - M + self.gd)
 
     def _left_half(self, M: int, L: int, stable: bool, semistable: bool) -> bool:
         D = self.D
@@ -713,30 +750,11 @@ class _IntKernel:
             return True
         return stable and self.g == 3 and (M, L) == (2 * self.D, self.D)
 
-    def in_teixidor(self, M: int, L: int, stability: Stability) -> bool:
-        if L <= 0:
-            raise ValueError(f"requires lam > 0, got {L}/{self.D}")
-        D = self.D
-        floor_mu, floor_lam = M - M % D, L - L % D
-        if L == floor_lam:
-            ok = self.rho_tilde(floor_mu, L) >= 0
-        elif L - floor_lam <= M - floor_mu:
-            ok = self.rho_tilde(floor_mu + D, floor_lam + D) >= 0
-        else:
-            ok = self.rho_tilde(floor_mu, floor_lam + D) >= 0
-        if not ok:
-            return False
-        if stability is Stability.STABLE and L == floor_lam and M == floor_mu:
-            dual_mu, dual_lam = self.dual(M, L)
-            if self.rho_tilde(M - D, L) < 0 and self.rho_tilde(dual_mu - D, dual_lam) < 0:
-                return False
-        return True
-
     def in_bmno_h(self, M: int, L: int) -> bool:
         D, gd = self.D, self.gd
         if not (M < L + gd and M >= 2 * L - 2 * D and 0 < M <= 2 * gd and L > 0):
             return False
-        s = -(-M // (2 * D))
+        s = hyper_window(M, D)
         if s > self.g - 1:
             return False
         bgn, m = self._hyper[s]

@@ -79,7 +79,7 @@ def inject_empty(monkeypatch):
     oracle._classify_cached.cache_clear()
 
 
-# the texts as the oracle printed them before its rules read integers
+# pinned texts: a change to the rule engine must leave them byte-identical
 @pytest.mark.parametrize("where, c, expected", [
     ("triple", CurveClass.GENERIC,
      "contradictory evidence at (n=1, d=2, k=1) [generic,stable]: "

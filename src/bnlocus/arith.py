@@ -46,7 +46,7 @@ def parse_rat(text: str) -> Fraction:
 
 def format_rat(value) -> str:
     """Canonical printed form: reduced, denominator omitted when 1."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def check_genus(g: int, minimum: int = 2) -> int:

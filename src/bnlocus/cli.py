@@ -46,9 +46,9 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _print_classification(r: Classification, as_json: bool, out_path=None) -> None:
+def _print_classification(r: Classification, as_json: bool) -> None:
     if as_json:
-        _write_output(_dump_json(r.to_json_dict()), out_path)
+        sys.stdout.write(_dump_json(r.to_json_dict()))
         return
     lines = [
         f"genus {r.genus}, rank {r.triple.n}, degree {r.triple.d}, sections {r.triple.k} "
@@ -65,7 +65,7 @@ def _print_classification(r: Classification, as_json: bool, out_path=None) -> No
         lines.append(f"  note: {a}")
     if not r.evidence:
         lines.append(f"  no criterion applies; rules attempted: {', '.join(r.rules_attempted)}")
-    _write_output("\n".join(lines) + "\n", out_path)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_classify(args) -> int:

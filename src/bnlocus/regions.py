@@ -76,15 +76,6 @@ class Piece:
     include_lo: bool = False
     include_hi: bool = True
 
-    def contains_x(self, mu: Fraction) -> bool:
-        if mu < self.lo or mu > self.hi:
-            return False
-        if mu == self.lo:
-            return self.include_lo
-        if mu == self.hi:
-            return self.include_hi
-        return True
-
     def value_at(self, mu) -> Fraction:
         return self.slope * Fraction(mu) + self.intercept
 
@@ -119,11 +110,12 @@ class BoundaryFn:
         mu = Fraction(mu)
         if not (self.domain_lo < mu < self.domain_hi):
             raise ValueError(f"{mu} outside domain ({self.domain_lo}, {self.domain_hi})")
+        # the last piece starting at or left of mu, or the one before it when
+        # mu is a shared endpoint that the later piece does not own
         i = bisect_right(self._los, mu) - 1
-        for j in (i, i + 1, i - 1):
-            if 0 <= j < len(self.pieces) and self.pieces[j].contains_x(mu):
-                return self.pieces[j]
-        raise AssertionError(f"tiling failure at {mu}")
+        if mu == self.pieces[i].lo and not self.pieces[i].include_lo:
+            i -= 1
+        return self.pieces[i]
 
     def __call__(self, mu) -> Fraction:
         mu = Fraction(mu)

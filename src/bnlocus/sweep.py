@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 
 from .arith import (
@@ -332,6 +332,10 @@ def _oracle(rep: SweepReport, g: int, n_max: int) -> None:
         classes.append(CurveClass.NON_HYPERELLIPTIC)
     for c in classes:
         for m in Stability:
+            @cache  # each triple is classified as itself and as another triple's dual
+            def verdict(t: Triple) -> Verdict:
+                return classify(g, t, c, m).verdict
+
             for n in range(1, n_max + 1):
                 for d in range(0, 2 * n * (g - 1) + 1):
                     empty_seen = False
@@ -339,34 +343,32 @@ def _oracle(rep: SweepReport, g: int, n_max: int) -> None:
                         t = Triple(n, d, k)
                         rep.checks_run += 1
                         try:
-                            r = classify(g, t, c, m)
+                            v = verdict(t)
                         except ContradictionError as exc:
                             rep.record(f"g={g} {t} {c.value} {m.value}", "consistent evidence", str(exc))
                             continue
-                        if r.verdict in nonemptyish and empty_seen:
+                        if v in nonemptyish and empty_seen:
                             rep.record(f"g={g} {t} {c.value} {m.value}",
-                                       "monotone in the section count", r.verdict.value)
-                        if r.verdict is Verdict.EMPTY:
+                                       "monotone in the section count", v.value)
+                        if v is Verdict.EMPTY:
                             empty_seen = True
-                        rd = classify(g, serre_dual_triple(g, t), c, m)
-                        pair = {r.verdict, rd.verdict}
+                        vd = verdict(serre_dual_triple(g, t))
+                        pair = {v, vd}
                         if Verdict.EMPTY in pair and pair & set(nonemptyish):
                             rep.record(f"g={g} {t} {c.value} {m.value}",
                                        "duality-consistent verdicts",
-                                       f"{r.verdict.value} vs dual {rd.verdict.value}")
+                                       f"{v.value} vs dual {vd.value}")
                         if (c is CurveClass.HYPERELLIPTIC and m is Stability.STABLE
-                                and r.verdict in nonemptyish):
+                                and v in nonemptyish):
                             mu = t.mu
                             s = hyper_window(mu)
                             if s <= g and mu < 2 * s:
                                 if k > hyper_h0_bound(g, s, n, d):
-                                    rep.record(f"g={g} {t}", "below the hyperelliptic bound",
-                                               r.verdict.value)
-                        if m is Stability.STABLE and r.verdict in nonemptyish:
+                                    rep.record(f"g={g} {t}", "below the hyperelliptic bound", v.value)
+                        if m is Stability.STABLE and v in nonemptyish:
                             mu, lam = t.mu, t.lam
                             if 0 < mu <= 2 * g - 2 and mu < 2 * lam - 2:
-                                rep.record(f"g={g} {t} {c.value}", "below the Clifford edge",
-                                           r.verdict.value)
+                                rep.record(f"g={g} {t} {c.value}", "below the Clifford edge", v.value)
 
 
 def verify_oracle(g_max: int = 6, n_max: int = 5, g_lo: int = 2) -> SweepReport:

@@ -73,10 +73,8 @@ def inject_empty(monkeypatch):
 
         monkeypatch.setattr(oracle, "_DIRECT_RULES", oracle._DIRECT_RULES + (rule,))
     oracle._core_evidence.cache_clear()
-    oracle._classify_cached.cache_clear()
     yield inject
     oracle._core_evidence.cache_clear()
-    oracle._classify_cached.cache_clear()
 
 
 # pinned texts: a change to the rule engine must leave them byte-identical

@@ -1,8 +1,10 @@
 """Classification engine: rule triggers, verdicts, evidence, annotations."""
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from bnlocus import oracle
 from bnlocus.arith import Stability, Triple, serre_dual_triple
 from bnlocus.oracle import (
     Classification,
@@ -227,6 +229,18 @@ def test_h0_max_examples():
     assert (bound, attained) == (2, "yes") and "pencil" in note
     assert h0_max(4, 2, -1, HYP)[0] == 0
     assert h0_max(4, 1, 20, ARB) == (20 - 3, "yes", "slope above 2g-2: h0 equals chi")
+    # Mercat's genus-3 bundle lies one section above the slope-2 bound
+    assert h0_max(3, 2, 4, NH) == h0_max(3, 2, 4, GEN) == (3, "yes", "")
+
+
+def test_h0_max_bounds_every_nonempty_triple():
+    for g in range(2, 9):
+        for c in [ARB, HYP, GEN] + ([NH] if g >= 3 else []):
+            for n in range(1, 4):
+                for d in range(0, 2 * n * (g - 1) + 1):
+                    bound = h0_max(g, n, d, c)[0]
+                    for k in range(bound + 1, n + d + 2):
+                        assert not classify(g, Triple(n, d, k), c, ST).nonempty(), (g, c, n, d, k, bound)
 
 
 def test_annotate_geometry():
@@ -243,6 +257,20 @@ def test_classification_json_key_order():
     keys = list(r.to_json_dict())
     assert keys == ["genus", "rank", "degree", "sections", "mu", "lambda",
                     "curve_class", "stability", "verdict", "rho", "evidence", "annotations"]
+
+
+def test_classification_stores_the_verdict_only():
+    assert [f.name for f in fields(Classification)] == [
+        "genus", "triple", "curve_class", "stability", "verdict", "evidence"]
+    r = classify(3, Triple(3, 6, 4), ARB)
+    assert r.rho == 3 and r.annotations == () and "serre" in r.rules_attempted
+    assert classify(3, Triple(2, 1, 1)).rules_attempted == ()
+
+
+def test_oracle_caches_are_bounded():
+    caches = {name: fn.cache_parameters()["maxsize"] for name, fn in vars(oracle).items()
+              if hasattr(fn, "cache_parameters") and fn.__module__ == oracle.__name__}
+    assert caches and all(size is not None for size in caches.values()), caches
 
 
 def test_region_soundness_sample():

@@ -166,6 +166,17 @@ def test_boundary_closure_flags_split_at_reflection():
     assert f(12) == F(9, 2)
 
 
+def test_piece_at_returns_the_owning_piece():
+    # exactly one piece owns each abscissa: inside it, or at an endpoint it includes
+    for g in range(3, 16):
+        for f in (bmno_boundary(g), teixidor_boundary(g), hyper_boundary(g)):
+            for i in range(1, 12 * (2 * g - 2)):
+                mu = F(i, 12)
+                owners = [p for p in f.pieces
+                          if p.lo < mu < p.hi or (mu == p.lo and p.include_lo) or (mu == p.hi and p.include_hi)]
+                assert owners == [f.piece_at(mu)], (g, mu)
+
+
 # -- assembled region --------------------------------------------------------
 
 

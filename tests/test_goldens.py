@@ -123,9 +123,26 @@ def test_membership_bitmap_golden(g):
     assert _digest(lines) == MEMBERSHIP[g]
 
 
-def _classify_lines(genera, ranks) -> list[str]:
-    """Every verdict, with its evidence and attempted rules, over the whole
-    0 <= mu <= 2g-2, 0 < k <= n + d window of each genus and rank."""
+def _window(g: int, n: int):
+    """The 0 <= mu <= 2g-2, 0 < k <= n + d window of one genus and rank."""
+    for d in range(0, 2 * n * (g - 1) + 1):
+        for k in range(1, n + d + 1):
+            yield d, k
+
+
+def _margins(g: int, n: int):
+    """The triples just outside :func:`_window`: two degrees past each end
+    of the slope range, and two section counts past each end of the window."""
+    top = 2 * n * (g - 1)
+    for d in range(-2, top + 3):
+        ks = (-1, 0, n + d + 1, n + d + 2) if 0 <= d <= top else range(-1, n + d + 3)
+        for k in ks:
+            yield d, k
+
+
+def _classify_lines(genera, ranks, window=_window) -> list[str]:
+    """Every verdict, with its evidence and attempted rules, over the window
+    of each genus and rank; a contradiction is recorded as its text."""
     lines = []
     for g in genera:
         for c in CurveClass:
@@ -133,14 +150,13 @@ def _classify_lines(genera, ranks) -> list[str]:
                 continue
             for m in Stability:
                 for n in ranks:
-                    for d in range(0, 2 * n * (g - 1) + 1):
-                        for k in range(1, n + d + 1):
-                            try:
-                                r = classify(g, Triple(n, d, k), c, m)
-                            except ContradictionError as exc:
-                                lines.append(f"contradiction {exc}")
-                                continue
-                            lines.append(json.dumps(r.to_json_dict()) + " " + ",".join(r.rules_attempted))
+                    for d, k in window(g, n):
+                        try:
+                            r = classify(g, Triple(n, d, k), c, m)
+                        except ContradictionError as exc:
+                            lines.append(f"contradiction {exc}")
+                            continue
+                        lines.append(json.dumps(r.to_json_dict()) + " " + ",".join(r.rules_attempted))
     return lines
 
 
@@ -153,6 +169,14 @@ def test_classify_golden_larger_genera():
     """Genera 6..10, where most Teixidor columns and hyperelliptic strips lie."""
     lines = _classify_lines(range(6, 11), range(1, 3))
     assert _digest(lines) == "716ef11075aefc341f18fb266532cbce4210b5bade5ba096649a8a5a88bf287b"
+
+
+def test_classify_golden_margins():
+    """Negative and past-the-top degrees, and section counts at and beyond
+    both ends of the window, where threshold ranges are clipped."""
+    lines = _classify_lines(range(2, 9), range(1, 4), _margins)
+    assert len(lines) == 20520
+    assert _digest(lines) == "10af1d6d37989b1697f7b54ab4c8ae10757e3372f506c60eb1bca435ac3af4f1"
 
 
 def test_sweep_reports_golden():

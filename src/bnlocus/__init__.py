@@ -37,6 +37,7 @@ from .oracle import (
     Verdict,
     annotate_geometry,
     classify,
+    classify_column,
     h0_max,
 )
 from .regions import (

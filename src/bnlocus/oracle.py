@@ -7,12 +7,18 @@ error, since the underlying theorems are mutually consistent.  ``Unknown``
 is a common and acceptable verdict: the criteria are existence theorems,
 not a decision procedure for the whole plane.
 
+The oracle works on one column (g, n, d) at a time.  Each rule takes a
+range of section counts k and returns the runs of k where it fires, so a
+threshold in k is found once and its evidence built once; ``classify`` runs
+the same code at one k, and ``classify_column`` classifies a whole range.
+
 Duality is applied at depth exactly one (it is an involution), and for an
 arbitrary curve a dichotomy step may combine the hyperelliptic and
 non-hyperelliptic classifications when they agree.  Both go through one
-function, ``_evidence``: it gathers the direct and dichotomy evidence of a
-triple and adds the serre step, both for the requested class and for each
-side of the dichotomy.
+function, ``_evidence_column``: it gathers the direct and dichotomy evidence
+of each triple and adds the serre step, both for the requested class and for
+each side of the dichotomy.  The Serre duals of a column form one column too,
+shifted by k* = k + n(g-1) - d.
 
 The rules decide on the integers (n, d, k) of a triple and build no
 ``Fraction``: slope conditions are cross-multiplied (mu < 2 lam - 2 is
@@ -22,9 +28,12 @@ d < 2k - 2n), and the region tests read the triple's point (d/n, k/n) as
 ``rho_tilde`` by a differential test.
 
 ``classify`` keeps no results: a ``Classification`` stores the verdict and
-its evidence and derives the rest.  The one cache, ``_core_evidence``, holds
-the direct evidence of at most 2**16 triples, the least power of two at which
-``verify_oracle(6, 5)`` misses no more often than with no bound.
+its evidence and derives the rest.  Every cache is bounded.
+``_direct_column`` holds the direct evidence of at most 2**12 columns, the
+least power of two at which ``verify_oracle(6, 5)`` misses no more often
+than with no bound.  ``_ev`` holds at most 2**14 evidence items, more than
+the 8,436 distinct ones of ``verify_oracle(6, 5)``, and
+``_tensor_thresholds`` the twist thresholds of 64 (genus, class) pairs.
 """
 from __future__ import annotations
 
@@ -43,7 +52,6 @@ from .arith import (
     hyper_window,
     line_degree_bound_int,
     rho,
-    serre_dual_triple,
 )
 from .regions import _IntScale, hyper_strip
 
@@ -126,6 +134,7 @@ class Classification:
         }
 
 
+@lru_cache(maxsize=1 << 14)  # each distinct item is built once; it is immutable
 def _ev(rule: str, kind: str, citation: str, **params) -> Evidence:
     return Evidence(rule, kind, citation, tuple(sorted(params.items())))
 
@@ -143,11 +152,13 @@ _KNOWN_NONEMPTY: tuple[tuple[int, tuple[CurveClass, ...], Triple, str], ...] = (
 )
 
 
-def _known_nonempty(g: int, c: CurveClass, t: Triple) -> str | None:
-    for gg, classes, tt, cite in _KNOWN_NONEMPTY:
-        if gg == g and c in classes and tt == t:
-            return cite
-    return None
+def _known_points(g: int, c: CurveClass, n: int, d: int) -> dict[int, str]:
+    """The section counts k of the known points (n, d, k), with their citations."""
+    out = {}
+    for gg, classes, t, cite in _KNOWN_NONEMPTY:
+        if gg == g and (t.n, t.d) == (n, d) and c in classes:
+            out[t.k] = cite
+    return out
 
 
 def _hyper_rules_allowed(g: int, c: CurveClass) -> bool:
@@ -160,136 +171,125 @@ def _nonhyper_rules_allowed(g: int, c: CurveClass) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# individual rules; each returns a list of Evidence
+# individual rules; each takes a column (g, n, d) and a range ks of section
+# counts, and returns (first k, past-the-end k, Evidence) for each run of k
+# where it fires.  Runs may reach past ks: the engine clips them.
 # ---------------------------------------------------------------------------
 
 
-def _rule_trivial(g, t, c, m):
+def _rule_trivial(g, n, d, ks, c, m):
     out = []
-    if t.k <= 0:
-        out.append(_ev("trivial", "wholespace", "no sections demanded: the condition is vacuous"))
-    elif t.d < 0:
-        out.append(_ev("trivial", "empty", "negative degree admits no sections on a (semi)stable bundle"))
+    if ks.start < 1:
+        out.append((ks.start, 1, _ev("trivial", "wholespace", "no sections demanded: the condition is vacuous")))
+    if d < 0:
+        out.append((1, ks.stop, _ev("trivial", "empty",
+                                    "negative degree admits no sections on a (semi)stable bundle")))
     return out
 
 
-def _rule_riemann_roch(g, t, c, m):
-    if t.k <= t.d - t.n * (g - 1):
-        return [_ev("riemann_roch", "wholespace",
-                    "Riemann-Roch: chi = d - n(g-1) independent sections always exist")]
-    return []
-
-
-def _rule_clifford(g, t, c, m):
-    n, d, k = t.n, t.d, t.k
-    if d < 0 or k <= 0:
+def _rule_riemann_roch(g, n, d, ks, c, m):
+    chi = d - n * (g - 1)
+    if ks.start > chi:
         return []
-    if d <= (2 * g - 2) * n and d < 2 * k - 2 * n:  # mu <= 2g-2 and mu < 2 lam - 2
-        return [_ev("clifford", "empty", "Clifford bound for special (semi)stable bundles")]
-    if d > (2 * g - 2) * n and k > d - n * (g - 1):
-        return [_ev("high_slope", "empty",
-                    "design decision: h1 vanishes for (semi)stable slope above 2g-2, so h0 = chi")]
-    return []
+    return [(ks.start, chi + 1, _ev(
+        "riemann_roch", "wholespace", "Riemann-Roch: chi = d - n(g-1) independent sections always exist"))]
 
 
-def _rule_edges(g, t, c, m):
-    out = []
-    n, d, k = t.n, t.d, t.k
-    if k <= 0:
-        return out
+def _rule_clifford(g, n, d, ks, c, m):
+    if d < 0:
+        return []
+    if d <= (2 * g - 2) * n:  # mu <= 2g-2, and mu < 2 lam - 2 is k > d/2 + n
+        return [(d // 2 + n + 1, ks.stop, _ev("clifford", "empty",
+                                               "Clifford bound for special (semi)stable bundles"))]
+    return [(d - n * (g - 1) + 1, ks.stop, _ev(
+        "high_slope", "empty", "design decision: h1 vanishes for (semi)stable slope above 2g-2, so h0 = chi"))]
+
+
+def _rule_edges(g, n, d, ks, c, m):
     if d == 0:
         if m is Stability.STABLE:
-            if (n, k) == (1, 1):
-                out.append(_ev("edge_slope_zero", "nonempty",
-                               "the trivial line bundle is the unique stable slope-0 bundle with a section"))
-            else:
-                out.append(_ev("edge_slope_zero", "empty",
-                               "the trivial line bundle is the unique stable slope-0 bundle with a section"))
+            cite = "the trivial line bundle is the unique stable slope-0 bundle with a section"
+            top = 2 if n == 1 else 1  # only (n, k) = (1, 1)
         else:
-            if k <= n:
-                out.append(_ev("edge_slope_zero", "nonempty",
-                               "semistable bundles fill the whole slope-0 edge"))
-            else:
-                out.append(_ev("edge_slope_zero", "empty",
-                               "semistable slope-0 bundles have at most n sections"))
-    elif d == n * (2 * g - 2):
-        if k <= d - n * (g - 1):
-            return out  # already the whole space by Riemann-Roch
+            cite = "semistable bundles fill the whole slope-0 edge"
+            top = n + 1
+        return [(1, top, _ev("edge_slope_zero", "nonempty", cite)),
+                (top, ks.stop, _ev("edge_slope_zero", "empty", cite if m is Stability.STABLE else
+                                   "semistable slope-0 bundles have at most n sections"))]
+    if d == n * (2 * g - 2):  # up to chi = n(g-1) it is already the whole space by Riemann-Roch
         if m is Stability.STABLE:
-            if n == 1 and k <= g:
-                out.append(_ev("edge_slope_canonical", "nonempty",
-                               "the canonical bundle is the unique stable slope-(2g-2) bundle beyond chi"))
-            else:
-                out.append(_ev("edge_slope_canonical", "empty",
-                               "the canonical bundle is the unique stable slope-(2g-2) bundle beyond chi"))
+            cite = "the canonical bundle is the unique stable slope-(2g-2) bundle beyond chi"
+            top = g + 1 if n == 1 else 1
         else:
-            if k <= n * g:
-                out.append(_ev("edge_slope_canonical", "nonempty",
-                               "semistable bundles fill the whole slope-(2g-2) edge"))
-            else:
-                out.append(_ev("edge_slope_canonical", "empty",
-                               "Clifford bound at slope 2g-2"))
-    return out
-
-
-def _rule_re_bound(g, t, c, m):
-    if not _nonhyper_rules_allowed(g, c):
-        return []
-    n, d, k = t.n, t.d, t.k
-    if k >= 1 and n <= d <= (2 * g - 3) * n and d < 2 * k - n:  # 1 <= mu <= 2g-3, mu < 2 lam - 1
-        return [_ev("re_bound", "empty",
-                    "Re's sharpening of the Clifford bound on non-hyperelliptic curves")]
+            cite = "semistable bundles fill the whole slope-(2g-2) edge"
+            top = n * g + 1
+        first = n * (g - 1) + 1
+        return [(first, top, _ev("edge_slope_canonical", "nonempty", cite)),
+                (max(first, top), ks.stop, _ev("edge_slope_canonical", "empty", cite if m is Stability.STABLE
+                                               else "Clifford bound at slope 2g-2"))]
     return []
 
 
-def _rule_line_bundles(g, t, c, m):
-    if t.n != 1 or t.k < 1 or t.d < 0:
+def _rule_re_bound(g, n, d, ks, c, m):
+    if not _nonhyper_rules_allowed(g, c) or not n <= d <= (2 * g - 3) * n:
+        return []
+    # 1 <= mu <= 2g-3, and mu < 2 lam - 1 is k > (d + n)/2
+    return [((d + n) // 2 + 1, ks.stop, _ev("re_bound", "empty",
+                                             "Re's sharpening of the Clifford bound on non-hyperelliptic curves"))]
+
+
+def _rule_line_bundles(g, n, d, ks, c, m):
+    if n != 1 or d < 0:
         return []
     out = []
-    r = rho(g, t)
-    if r >= 0:
-        out.append(_ev("line_bundle_existence", "nonempty",
-                       "classical rank-one existence: nonnegative expected dimension", rho=r))
-    elif c is CurveClass.GENERIC:
-        out.append(_ev("line_bundle_generic", "empty",
-                       "on a generic curve the rank-one existence bound is sharp", rho=r))
-    if _hyper_rules_allowed(g, c) and t.d >= 2 * (t.k - 1) and t.k <= g:
-        out.append(_ev("hyper_pencil_power", "nonempty",
-                       "powers of the degree-2 pencil give line bundles with s sections in degree 2s-2"))
+    for k in range(max(ks.start, 1), ks.stop):
+        r = g - k * (k - d + g - 1)  # rho at rank one
+        if r >= 0:
+            out.append((k, k + 1, _ev("line_bundle_existence", "nonempty",
+                                      "classical rank-one existence: nonnegative expected dimension", rho=r)))
+        elif c is CurveClass.GENERIC:
+            out.append((k, k + 1, _ev("line_bundle_generic", "empty",
+                                      "on a generic curve the rank-one existence bound is sharp", rho=r)))
+    if _hyper_rules_allowed(g, c):  # d >= 2(k-1) and k <= g
+        out.append((1, min(d // 2 + 2, g + 1), _ev(
+            "hyper_pencil_power", "nonempty",
+            "powers of the degree-2 pencil give line bundles with s sections in degree 2s-2")))
     return out
 
 
-def _bgn_condition(g, n, d, k) -> bool:
-    return n <= d + (n - k) * g
+def _bgn_top(g, n, d) -> int:
+    """The largest k with n <= d + (n - k)g: the bound of the low- and
+    mid-slope criteria."""
+    return (d + n * (g - 1)) // g
 
 
-def _rule_bgn(g, t, c, m):
-    n, d, k = t.n, t.d, t.k
-    if not (0 < d <= n) or k < 1:
+def _rule_bgn(g, n, d, ks, c, m):
+    if not 0 < d <= n:
         return []
     cite = "low-slope criterion for 0 < mu <= 1 (Brambila-Paz/Grzegorczyk/Newstead)"
-    if _bgn_condition(g, n, d, k):
-        if (d, k) == (n, n) and n >= 2 and m is Stability.STABLE:
-            return [_ev("bgn", "empty", cite + ": the corner point is rank-one only")]
-        return [_ev("bgn", "nonempty", cite)]
-    return [_ev("bgn", "empty", cite + " (the bound is an equivalence)")]
+    top = _bgn_top(g, n, d)
+    nonempty = _ev("bgn", "nonempty", cite)
+    if d == n >= 2 and m is Stability.STABLE:  # then top = n
+        out = [(1, n, nonempty), (n, n + 1, _ev("bgn", "empty", cite + ": the corner point is rank-one only"))]
+    else:
+        out = [(1, top + 1, nonempty)]
+    return out + [(top + 1, ks.stop, _ev("bgn", "empty", cite + " (the bound is an equivalence)"))]
 
 
-def _rule_mercat(g, t, c, m):
-    n, d, k = t.n, t.d, t.k
-    if k < 1:
-        return []
-    cite = "mid-slope criterion for 1 < mu < 2 (Mercat)"
+def _rule_mercat(g, n, d, ks, c, m):
+    top = _bgn_top(g, n, d)
     if n < d < 2 * n:
-        if _bgn_condition(g, n, d, k):
-            return [_ev("mercat", "nonempty", cite)]
-        return [_ev("mercat", "empty", cite + " (the bound is an equivalence)")]
-    if d == 2 * n and _nonhyper_rules_allowed(g, c) and g >= 3:
-        cite2 = "slope-2 extension of the mid-slope criterion on non-hyperelliptic curves (Mercat)"
-        if _bgn_condition(g, n, d, k):
-            return [_ev("mercat_slope2", "nonempty", cite2)]
-        if _known_nonempty(g, c, t) is None:
-            return [_ev("mercat_slope2", "empty", cite2)]
+        cite = "mid-slope criterion for 1 < mu < 2 (Mercat)"
+        return [(1, top + 1, _ev("mercat", "nonempty", cite)),
+                (top + 1, ks.stop, _ev("mercat", "empty", cite + " (the bound is an equivalence)"))]
+    if d == 2 * n and _nonhyper_rules_allowed(g, c):
+        cite = "slope-2 extension of the mid-slope criterion on non-hyperelliptic curves (Mercat)"
+        out = [(1, top + 1, _ev("mercat_slope2", "nonempty", cite))]
+        empty, first = _ev("mercat_slope2", "empty", cite), top + 1
+        for k in sorted(_known_points(g, c, n, d)):  # sporadic points above the bound stay open
+            out.append((first, k, empty))
+            first = max(first, k + 1)
+        return out + [(first, ks.stop, empty)]
     return []
 
 
@@ -303,153 +303,169 @@ def _shift_candidates(n: int, d: int):
     return out
 
 
-def _rule_tensor(g, t, c, m):
-    """Twisting by a line bundle with s independent sections (s = 1 uses any
-    effective bundle).  Fires NonEmpty when the untwisted low/mid-slope
-    criterion holds for the rounded-up section count."""
-    n, d, k = t.n, t.d, t.k
-    if k < 1 or d < 0:
-        return []
+@lru_cache(maxsize=64)
+def _tensor_thresholds(g: int, hyper: bool) -> tuple[tuple[int, int, int], ...]:
+    """(s, line_bound, threshold) for s = 1..g: the least degree of a line
+    bundle with s sections on every curve, and the least twist degree d' the
+    tensor rule accepts, which hyperelliptic pencil powers lower to 2s-2.
+    Both grow with s."""
     out = []
-    hyper = _hyper_rules_allowed(g, c)
-    candidates = _shift_candidates(n, d)
     for s in range(1, g + 1):
         line_bound = 0 if s == 1 else line_degree_bound_int(g, s)
-        threshold = min(line_bound, 2 * s - 2) if hyper else line_bound
-        k0 = -(-k // s)  # ceil(k/s)
-        for dp, rem in candidates:
-            if dp < threshold:
-                continue
-            corner = (rem, k0) == (n, n) and n >= 2
-            if _bgn_condition(g, n, rem, k0) and (not corner or m is Stability.SEMISTABLE):
-                rule = "tensor_effective" if s == 1 else "tensor_sections"
-                cite = ("twist by an effective line bundle"
-                        if s == 1 else "twist by a line bundle with s independent sections")
-                if dp < line_bound:
-                    cite += " (hyperelliptic pencil powers lower the degree threshold)"
-                out.append(_ev(rule, "nonempty", cite, d_shift=dp, remainder=rem, s=s, k0=k0))
-                if rem == n:
-                    out.append(_ev("tensor_integer_slope", "nonempty",
-                                   "integer-slope specialization of the twisting criterion",
-                                   d_shift=dp, s=s, k0=k0))
-                break  # one witness per s suffices
-        if m is Stability.SEMISTABLE and d % n == 0:
-            dp = d // n
-            if dp >= threshold and k0 <= n:
-                out.append(_ev("tensor_sections_semistable", "nonempty",
-                               "semistable extension of the twisting criterion to zero remainder",
-                               d_shift=dp, remainder=0, s=s, k0=k0))
+        out.append((s, line_bound, min(line_bound, 2 * s - 2) if hyper else line_bound))
+    return tuple(out)
+
+
+def _rule_tensor(g, n, d, ks, c, m):
+    """Twisting by a line bundle with s independent sections (s = 1 uses any
+    effective bundle).  Fires NonEmpty when the untwisted low/mid-slope
+    criterion holds for the rounded-up section count k0 = ceil(k/s), so it
+    is decided once per block of k with the same k0."""
+    lo, hi = max(ks.start, 1), ks.stop
+    if d < 0 or lo >= hi:
+        return []
+    semistable = m is Stability.SEMISTABLE
+    shifts = []  # (d', remainder, the largest k0 the untwisted criterion accepts)
+    for dp, rem in _shift_candidates(n, d):
+        top = _bgn_top(g, n, rem)
+        if rem == n >= 2 and not semistable:
+            top -= 1  # the corner (n, n) is rank-one only
+        shifts.append((dp, rem, top))
+    out = []
+    for s, line_bound, threshold in _tensor_thresholds(g, _hyper_rules_allowed(g, c)):
+        if threshold > d // n:
+            break  # no shift d' exceeds d // n
+        for k0 in range(-(-lo // s), -(-(hi - 1) // s) + 1):
+            first, stop = (k0 - 1) * s + 1, k0 * s + 1
+            for dp, rem, top in shifts:
+                if dp >= threshold and k0 <= top:
+                    cite = "twist by an effective line bundle" if s == 1 else \
+                        "twist by a line bundle with s independent sections"
+                    if dp < line_bound:
+                        cite += " (hyperelliptic pencil powers lower the degree threshold)"
+                    out.append((first, stop, _ev("tensor_effective" if s == 1 else "tensor_sections", "nonempty",
+                                                 cite, d_shift=dp, remainder=rem, s=s, k0=k0)))
+                    if rem == n:
+                        out.append((first, stop, _ev("tensor_integer_slope", "nonempty",
+                                                     "integer-slope specialization of the twisting criterion",
+                                                     d_shift=dp, s=s, k0=k0)))
+                    break  # one witness per s suffices
+            if semistable and d % n == 0 and k0 <= n:
+                out.append((first, stop, _ev("tensor_sections_semistable", "nonempty",
+                                             "semistable extension of the twisting criterion to zero remainder",
+                                             d_shift=d // n, remainder=0, s=s, k0=k0)))
     return out
 
 
-def _rule_fractional_fill(g, t, c, m):
+def _rule_fractional_fill(g, n, d, ks, c, m):
     """Non-integral slopes beyond the s-section threshold with lam <= s are
     all realized (rounding argument on the section count)."""
-    n, d, k = t.n, t.d, t.k
-    if k < 1 or d % n == 0 or k > g * n:  # lam > g
+    if d % n == 0:
         return []
-    s = -(-k // n)  # ceil(lam)
-    if d > (line_degree_bound_int(g, s) + 1) * n:
-        return [_ev("fractional_slope_fill", "nonempty",
-                    "non-integral slopes past the threshold carry bundles at every rank", s=s)]
-    return []
-
-
-def _rule_teixidor(g, t, c, m):
-    if g < 3 or t.k < 1 or t.d < 0:
-        return []
-    if _IntScale(g, t.n).in_teixidor(t.d, t.k, m):  # the triple's point is (d, k) at scale n
-        return [_ev("teixidor", "nonempty",
-                    "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)")]
-    return []
-
-
-def _rule_hyper_bounds(g, t, c, m):
-    if not _hyper_rules_allowed(g, c) or t.k < 1 or t.d < 0:
-        return []
-    n, d, k = t.n, t.d, t.k
+    lo, hi = max(ks.start, 1), min(ks.stop, g * n + 1)  # lam <= g
     out = []
+    thresholds = _tensor_thresholds(g, False)
+    for s in range(-(-lo // n), -(-(hi - 1) // n) + 1):  # s = ceil(lam)
+        if d <= (thresholds[s - 1][1] + 1) * n:
+            break  # the line bounds grow with s
+        out.append(((s - 1) * n + 1, s * n + 1, _ev(
+            "fractional_slope_fill", "nonempty",
+            "non-integral slopes past the threshold carry bundles at every rank", s=s)))
+    return out
+
+
+def _rule_teixidor(g, n, d, ks, c, m):
+    if g < 3 or d < 0:
+        return []
+    scale = _IntScale(g, n)  # the triple's point is (d, k) at scale n
+    out = []
+    for k in range(max(ks.start, 1), ks.stop):
+        if scale.in_teixidor(d, k, m):
+            out.append((k, k + 1, _ev("teixidor", "nonempty",
+                                      "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)")))
+    return out
+
+
+def _rule_hyper_bounds(g, n, d, ks, c, m):
+    if not _hyper_rules_allowed(g, c) or d < 0:
+        return []
     if d % (2 * n) != 0 or d > (2 * g - 2) * n:
         s = hyper_window(d, n)
         # mu < 2s, and k > hyper_h0_bound(g, s, n, d) multiplied through by g
-        if s <= g and d < 2 * s * n and g * (k - s * n) > s * (d - (2 * s - 1) * n):
-            out.append(_ev("hyper_h0_bound", "empty",
-                           "hyperelliptic section bound for slopes strictly between 2s-2 and 2s",
-                           s=s, bound=format_rat(hyper_h0_bound(g, s, n, d))))
-    else:
-        s = d // (2 * n)
-        if 0 <= s <= g - 1:
-            if (n, d, k) == (1, 2 * s, s + 1):
-                out.append(_ev("hyper_power_point", "nonempty",
-                               "the s-th power of the degree-2 pencil attains s+1 sections", s=s))
-            elif k > s * n and m is Stability.STABLE:
-                out.append(_ev("hyper_even_slope_bound", "empty",
-                               "hyperelliptic even-slope bound: at most sn sections away from the pencil power",
-                               s=s))
+        first = (g * s * n + s * (d - (2 * s - 1) * n)) // g + 1
+        if s <= g and d < 2 * s * n and first < ks.stop:
+            return [(first, ks.stop, _ev("hyper_h0_bound", "empty",
+                                         "hyperelliptic section bound for slopes strictly between 2s-2 and 2s",
+                                         s=s, bound=format_rat(hyper_h0_bound(g, s, n, d))))]
+        return []
+    s = d // (2 * n)  # 0 <= s <= g-1
+    out = []
+    if n == 1:
+        out.append((s + 1, s + 2, _ev("hyper_power_point", "nonempty",
+                                      "the s-th power of the degree-2 pencil attains s+1 sections", s=s)))
+    if m is Stability.STABLE:  # more than sn sections, away from the pencil power
+        out.append((s * n + 1 if n > 1 else s + 2, ks.stop, _ev(
+            "hyper_even_slope_bound", "empty",
+            "hyperelliptic even-slope bound: at most sn sections away from the pencil power", s=s)))
     return out
 
 
-def _rule_hyper_strips(g, t, c, m):
-    if not _hyper_rules_allowed(g, c) or t.k < 1 or t.d < 0:
+def _rule_hyper_strips(g, n, d, ks, c, m):
+    if not _hyper_rules_allowed(g, c) or d < 0:
         return []
-    n, d, k = t.n, t.d, t.k
     out = []
-    strip = hyper_strip(g, d, k, n)
-    if strip is not None:
-        s, dual = strip
-        cite = ("duality image of the settled hyperelliptic band" if dual
-                else "settled hyperelliptic band below the integer section level")
-        out.append(_ev("hyper_strip", "nonempty", cite, s=s))
+    for k in range(max(ks.start, 1), ks.stop):
+        strip = hyper_strip(g, d, k, n)
+        if strip is not None:
+            s, dual = strip
+            cite = ("duality image of the settled hyperelliptic band" if dual
+                    else "settled hyperelliptic band below the integer section level")
+            out.append((k, k + 1, _ev("hyper_strip", "nonempty", cite, s=s)))
     if d % n == 0 and (d // n) % 2 == 1:  # integral odd slope 2s-1
         s = (d // n + 1) // 2
         if 1 <= s <= g - 1:
-            if k == s * n:
-                if n == 1:
-                    out.append(_ev("hyper_odd_point", "nonempty",
-                                   "odd-slope corner: rank one realizes sn sections", s=s))
-                elif m is Stability.STABLE:
-                    out.append(_ev("hyper_odd_point", "empty",
-                                   "odd-slope corner is rank-one only for stable bundles", s=s))
-                else:
-                    out.append(_ev("hyper_odd_point_semistable", "nonempty",
-                                   "semistable bundles attain the odd-slope corner at every rank", s=s))
-            if k <= s * n - 1:
-                out.append(_ev("hyper_near_max", "nonempty",
-                               "stable bundles with sn-1 sections exist at every odd slope 2s-1", s=s))
+            if n == 1:
+                corner = _ev("hyper_odd_point", "nonempty", "odd-slope corner: rank one realizes sn sections", s=s)
+            elif m is Stability.STABLE:
+                corner = _ev("hyper_odd_point", "empty",
+                             "odd-slope corner is rank-one only for stable bundles", s=s)
+            else:
+                corner = _ev("hyper_odd_point_semistable", "nonempty",
+                             "semistable bundles attain the odd-slope corner at every rank", s=s)
+            out.append((s * n, s * n + 1, corner))
+            out.append((1, s * n, _ev("hyper_near_max", "nonempty",
+                                      "stable bundles with sn-1 sections exist at every odd slope 2s-1", s=s)))
     if m is Stability.SEMISTABLE and d % (2 * n) == 0:
         s = d // (2 * n)
-        if 0 <= s <= g - 1 and s * n < k <= (s + 1) * n:
-            out.append(_ev("hyper_semistable_segment", "nonempty",
-                           "semistable even-slope segment up to the Clifford level", s=s))
+        if 0 <= s <= g - 1:
+            out.append((s * n + 1, (s + 1) * n + 1, _ev(
+                "hyper_semistable_segment", "nonempty",
+                "semistable even-slope segment up to the Clifford level", s=s)))
     return out
 
 
-def _rule_hyper_gap(g, t, c, m):
+def _rule_hyper_gap(g, n, d, ks, c, m):
     """Slopes in (3, 4): the floor of the section bound is unattainable when
     the remainder l' lies in [g/2, g-1), and attainable when l' = g-1."""
-    if not _hyper_rules_allowed(g, c) or g < 4 or t.k < 1:
-        return []
-    n, d, k = t.n, t.d, t.k
-    if not (3 * n < d < 4 * n):
+    if not _hyper_rules_allowed(g, c) or g < 4 or not 3 * n < d < 4 * n or m is not Stability.STABLE:
         return []
     l, lp = divmod(d - 3 * n, g)
-    out = []
-    if k == 2 * n + 2 * l + 1 and m is Stability.STABLE:
-        if 2 * lp >= g and lp < g - 1:
-            out.append(_ev("hyper_gap", "empty",
-                           "section-count gap between slopes 3 and 4 on hyperelliptic curves",
-                           l=l, l_remainder=lp))
-        elif lp == g - 1:
-            out.append(_ev("hyper_gap_attained", "nonempty",
-                           "the extremal remainder realizes the gap value", l=l, l_remainder=lp))
-    return out
-
-
-def _rule_known_points(g, t, c, m):
-    cite = _known_nonempty(g, c, t)
-    if cite is not None:
-        return [_ev("known_point", "nonempty", cite)]
+    k = 2 * n + 2 * l + 1
+    if 2 * lp >= g and lp < g - 1:
+        return [(k, k + 1, _ev("hyper_gap", "empty",
+                               "section-count gap between slopes 3 and 4 on hyperelliptic curves",
+                               l=l, l_remainder=lp))]
+    if lp == g - 1:
+        return [(k, k + 1, _ev("hyper_gap_attained", "nonempty",
+                               "the extremal remainder realizes the gap value", l=l, l_remainder=lp))]
     return []
+
+
+def _rule_known_points(g, n, d, ks, c, m):
+    out = []
+    for k, cite in _known_points(g, c, n, d).items():
+        out.append((k, k + 1, _ev("known_point", "nonempty", cite)))
+    return out
 
 
 _DIRECT_RULES = (
@@ -473,46 +489,43 @@ _DIRECT_RULES = (
 # every rule name, then the two engine steps: what an Unknown verdict reports as tried
 _RULES_ATTEMPTED = tuple(r.__name__.removeprefix("_rule_") for r in _DIRECT_RULES) + ("curve_dichotomy", "serre")
 
+_NONEMPTY = (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
+
 
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
 
 
-def _validate(g: int, t: Triple, c: CurveClass, m: Stability):
+def _validate(g: int, c: CurveClass):
     check_genus(g)
     if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
         raise ValueError("every genus-2 curve is hyperelliptic")
 
 
-@lru_cache(maxsize=1 << 16)
-def _core_evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence, ...]:
-    out: list[Evidence] = []
+@lru_cache(maxsize=1 << 12)
+def _direct_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability
+                   ) -> tuple[tuple[Evidence, ...], ...]:
+    """The direct evidence of each triple (n, d, k), lo <= k < hi, in rule order."""
+    ks = range(lo, hi)
+    col: list[list[Evidence]] = [[] for _ in ks]
     for rule in _DIRECT_RULES:
-        out.extend(rule(g, t, c, m))
-    return tuple(dict.fromkeys(out))
+        for first, stop, e in rule(g, n, d, ks, c, m):
+            k = first if first > lo else lo
+            while k < stop and k < hi:
+                col[k - lo].append(e)
+                k += 1
+    return tuple(map(tuple, map(dict.fromkeys, col)))
 
 
-def _dichotomy_evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence, ...]:
-    if c is not CurveClass.ARBITRARY or g < 3:
-        return ()
-    hyp, non = (_combine(_evidence(g, t, cc, m), t, cc, m)
-                for cc in (CurveClass.HYPERELLIPTIC, CurveClass.NON_HYPERELLIPTIC))
-    cite = "every curve is hyperelliptic or not, and both cases agree"
-    params = {"hyperelliptic": hyp.value, "non_hyperelliptic": non.value}
-    if hyp is Verdict.EMPTY and non is Verdict.EMPTY:
-        return (_ev("curve_dichotomy", "empty", cite, **params),)
-    if hyp in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE) and non in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE):
-        return (_ev("curve_dichotomy", "nonempty", cite, **params),)
-    return ()
-
-
-def _combine(evidence: tuple[Evidence, ...], t: Triple, c: CurveClass, m: Stability) -> Verdict:
-    """The verdict of the evidence gathered for t on class c, stability m."""
+def _combine(evidence: tuple[Evidence, ...], n: int, d: int, k: int, c: CurveClass, m: Stability
+             ) -> Verdict | ContradictionError:
+    """The verdict of the evidence gathered for (n, d, k) on class c,
+    stability m, or the error that names the clash."""
     kinds = {e.kind for e in evidence}
     if "empty" in kinds and (kinds & {"nonempty", "wholespace"}):
         detail = "; ".join(f"{e.rule}:{e.kind}" for e in evidence)
-        raise ContradictionError(f"contradictory evidence at {t} [{c.value},{m.value}]: {detail}")
+        return ContradictionError(f"contradictory evidence at {Triple(n, d, k)} [{c.value},{m.value}]: {detail}")
     if "wholespace" in kinds:
         return Verdict.WHOLE_SPACE
     if "nonempty" in kinds:
@@ -522,26 +535,90 @@ def _combine(evidence: tuple[Evidence, ...], t: Triple, c: CurveClass, m: Stabil
     return Verdict.UNKNOWN
 
 
-def _evidence(g: int, t: Triple, c: CurveClass, m: Stability) -> tuple[Evidence, ...]:
-    """The direct and dichotomy evidence for t, then the serre step.
+def _dichotomy_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
+    """Per k: the curve-dichotomy evidence, or the error one side raised."""
+    if c is not CurveClass.ARBITRARY or g < 3:
+        return [()] * (hi - lo)
+    cite = "every curve is hyperelliptic or not, and both cases agree"
+    out = []
+    for hyp, non in zip(_verdict_column(g, n, d, lo, hi, CurveClass.HYPERELLIPTIC, m),
+                        _verdict_column(g, n, d, lo, hi, CurveClass.NON_HYPERELLIPTIC, m)):
+        if type(hyp) is ContradictionError:
+            out.append(hyp)
+        elif type(non) is ContradictionError:
+            out.append(non)
+        elif (hyp is Verdict.EMPTY and non is Verdict.EMPTY) or (hyp in _NONEMPTY and non in _NONEMPTY):
+            out.append((_ev("curve_dichotomy", "empty" if hyp is Verdict.EMPTY else "nonempty", cite,
+                            hyperelliptic=hyp.value, non_hyperelliptic=non.value),))
+        else:
+            out.append(())
+    return out
+
+
+def _evidence_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
+    """Per k: the direct and dichotomy evidence of (n, d, k), then the serre
+    step; or the error that stops it.
 
     This is the oracle's one duality step, applied at depth one: the dual
     triple's verdict comes from its own direct and dichotomy evidence, with no
     serre step of its own, and is carried back across the reflection.
     """
-    evidence = _core_evidence(g, t, c, m) + _dichotomy_evidence(g, t, c, m)
-    dual = serre_dual_triple(g, t)
-    dual_ev = _core_evidence(g, dual, c, m) + _dichotomy_evidence(g, dual, c, m)
-    dual_verdict = _combine(dual_ev, dual, c, m)
-    if dual_verdict in (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE):
-        primary = next(e.rule for e in dual_ev if e.kind in ("nonempty", "wholespace"))
-        evidence += (_ev("serre", "nonempty", "duality carries nonemptiness across the reflection",
-                         dual=str(dual), dual_rule=primary),)
-    elif dual_verdict is Verdict.EMPTY:
-        primary = next(e.rule for e in dual_ev if e.kind == "empty")
-        evidence += (_ev("serre", "empty", "duality carries emptiness across the reflection",
-                         dual=str(dual), dual_rule=primary),)
-    return evidence
+    shift = n * (g - 1) - d
+    dual_d = d + 2 * shift
+    out = []
+    for k, ev, dich, dual_ev, dual_dich in zip(
+            range(lo + shift, hi + shift),
+            _direct_column(g, n, d, lo, hi, c, m), _dichotomy_column(g, n, d, lo, hi, c, m),
+            _direct_column(g, n, dual_d, lo + shift, hi + shift, c, m),
+            _dichotomy_column(g, n, dual_d, lo + shift, hi + shift, c, m)):
+        if type(dich) is not tuple:
+            out.append(dich)
+            continue
+        if type(dual_dich) is not tuple:
+            out.append(dual_dich)
+            continue
+        dual_ev += dual_dich
+        dual_verdict = _combine(dual_ev, n, dual_d, k, c, m)
+        if type(dual_verdict) is ContradictionError:
+            out.append(dual_verdict)
+            continue
+        if dual_verdict is not Verdict.UNKNOWN:  # carry the first evidence of its kind back
+            kind = "empty" if dual_verdict is Verdict.EMPTY else "nonempty"
+            primary = next(e.rule for e in dual_ev if (e.kind == "empty") == (kind == "empty"))
+            dich += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
+                         else "duality carries nonemptiness across the reflection",
+                         dual=str(Triple(n, dual_d, k)), dual_rule=primary),)
+        out.append(ev + dich)
+    return out
+
+
+def _verdict_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
+    """Per k: the verdict of (n, d, k), or the error that stops it."""
+    return [ev if type(ev) is not tuple else _combine(ev, n, d, k, c, m)
+            for k, ev in zip(range(lo, hi), _evidence_column(g, n, d, lo, hi, c, m))]
+
+
+def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClass.ARBITRARY,
+                    m: Stability = Stability.STABLE) -> list[Classification | ContradictionError]:
+    """Classify the triples (n, d, k) for k in ``ks``, a range of step 1.
+
+    Each entry is what :func:`classify` returns for that k, or the
+    ``ContradictionError`` it raises.  The rules run once for the column.
+    """
+    c, m = CurveClass(c), Stability(m)
+    _validate(g, c)
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    if ks.step != 1:
+        raise ValueError(f"section counts must be a range of step 1, got {ks}")
+    out = []
+    for k, ev in zip(ks, _evidence_column(g, n, d, ks.start, ks.stop, c, m)):
+        if type(ev) is tuple:
+            verdict = _combine(ev, n, d, k, c, m)
+            ev = verdict if type(verdict) is ContradictionError else Classification(
+                g, Triple(n, d, k), c, m, verdict, ev)
+        out.append(ev)
+    return out
 
 
 def classify(g: int, t: Triple, c: CurveClass = CurveClass.ARBITRARY,
@@ -549,9 +626,12 @@ def classify(g: int, t: Triple, c: CurveClass = CurveClass.ARBITRARY,
     """Classify the locus of triple ``t`` on a genus-``g`` curve of the given
     class, for stable or semistable bundles."""
     c, m = CurveClass(c), Stability(m)
-    _validate(g, t, c, m)
-    evidence = _evidence(g, t, c, m)
-    return Classification(g, t, c, m, _combine(evidence, t, c, m), evidence)
+    _validate(g, c)
+    (evidence,) = _evidence_column(g, t.n, t.d, t.k, t.k + 1, c, m)
+    verdict = evidence if type(evidence) is not tuple else _combine(evidence, t.n, t.d, t.k, c, m)
+    if type(verdict) is ContradictionError:
+        raise verdict
+    return Classification(g, t, c, m, verdict, evidence)
 
 
 def annotate_geometry(g: int, t: Triple) -> list[str]:
@@ -581,12 +661,16 @@ def annotate_geometry(g: int, t: Triple) -> list[str]:
 
 def h0_max(g: int, n: int, d: int, c: CurveClass = CurveClass.ARBITRARY) -> tuple[int, str, str]:
     """Best upper bound the criteria give for h0 over stable bundles of rank
-    n and degree d, with attainment status ('yes'/'no'/'unknown') and a note."""
+    n and degree d, with attainment status and a note.
+
+    The closed-form bound is stepped down past every section count that
+    :func:`classify` shows Empty, so the status is 'yes' (the oracle shows
+    the bound attained, or it is 0) or 'unknown', never 'no'."""
     check_genus(g)
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     c = CurveClass(c)
-    _validate(g, Triple(n, max(d, 0), 1), c, Stability.STABLE)
+    _validate(g, c)
     mu = Fraction(d, n)
     note = ""
     if d < 0:
@@ -606,7 +690,7 @@ def h0_max(g: int, n: int, d: int, c: CurveClass = CurveClass.ARBITRARY) -> tupl
             candidates.append((d + n) // 2)  # Re
         if d < 2 * n or (d == 2 * n and _nonhyper_rules_allowed(g, c)):
             low = (d - n) // g + n  # low/mid-slope bound
-            if _known_nonempty(g, c, Triple(n, d, low + 1)):
+            if low + 1 in _known_points(g, c, n, d):
                 low += 1  # a sporadic point above it, which mercat_slope2 leaves alone
             candidates.append(low)
         if _hyper_rules_allowed(g, c):
@@ -628,15 +712,13 @@ def h0_max(g: int, n: int, d: int, c: CurveClass = CurveClass.ARBITRARY) -> tupl
             dual_bound, _, _ = h0_max(g, n, 2 * n * (g - 1) - d, c)
             candidates.append(d - n * (g - 1) + dual_bound)
         bound = min(candidates)
-    if bound < 0:
-        bound = 0
-    if bound == 0:
-        return 0, "yes", note or "no sections are possible"
-    result = classify(g, Triple(n, d, bound), c, Stability.STABLE)
-    if result.nonempty():
-        attained = "yes"
-    elif result.verdict is Verdict.EMPTY:
-        attained = "no"
-    else:
-        attained = "unknown"
-    return bound, attained, note
+    # step down past section counts that the oracle shows empty
+    verdicts = classify_column(g, n, d, range(1, max(bound, 0) + 1), c, Stability.STABLE)
+    while bound > 0:
+        result = verdicts[bound - 1]
+        if type(result) is ContradictionError:
+            raise result
+        if result.verdict is not Verdict.EMPTY:
+            return bound, "yes" if result.nonempty() else "unknown", note
+        bound -= 1
+    return 0, "yes", note or "no sections are possible"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from fractions import Fraction
 
 from .arith import (
@@ -35,9 +35,8 @@ from .arith import (
     hyper_window,
     line_degree_bound_int,
     rho_tilde,
-    serre_dual_triple,
 )
-from .oracle import Classification, ContradictionError, CurveClass, Verdict, classify
+from .oracle import Classification, ContradictionError, CurveClass, Verdict, classify_column
 from .regions import (
     BmnoMode,
     _IntKernel,
@@ -326,46 +325,42 @@ def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport
 
 
 def _oracle(rep: SweepReport, g: int, n_max: int) -> None:
-    nonemptyish = (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
     classes = [CurveClass.ARBITRARY, CurveClass.HYPERELLIPTIC, CurveClass.GENERIC]
     if g >= 3:
         classes.append(CurveClass.NON_HYPERELLIPTIC)
     for c in classes:
         for m in Stability:
-            @cache  # each triple is classified as itself and as another triple's dual
-            def verdict(t: Triple) -> Verdict:
-                return classify(g, t, c, m).verdict
-
             for n in range(1, n_max + 1):
                 for d in range(0, 2 * n * (g - 1) + 1):
+                    shift = n * (g - 1) - d  # the dual of (n, d, k) is (n, d + 2 shift, k + shift)
+                    column = classify_column(g, n, d, range(1, n + d + 1), c, m)
+                    duals = classify_column(g, n, d + 2 * shift, range(1 + shift, n + d + 1 + shift), c, m)
                     empty_seen = False
-                    for k in range(1, n + d + 1):
+                    for k, r, rd in zip(range(1, n + d + 1), column, duals):
                         t = Triple(n, d, k)
                         rep.checks_run += 1
-                        try:
-                            v = verdict(t)
-                        except ContradictionError as exc:
-                            rep.record(f"g={g} {t} {c.value} {m.value}", "consistent evidence", str(exc))
+                        if isinstance(r, ContradictionError):
+                            rep.record(f"g={g} {t} {c.value} {m.value}", "consistent evidence", str(r))
                             continue
-                        if v in nonemptyish and empty_seen:
+                        if isinstance(rd, ContradictionError):
+                            raise rd
+                        v, vd = r.verdict, rd.verdict
+                        if r.nonempty() and empty_seen:
                             rep.record(f"g={g} {t} {c.value} {m.value}",
                                        "monotone in the section count", v.value)
                         if v is Verdict.EMPTY:
                             empty_seen = True
-                        vd = verdict(serre_dual_triple(g, t))
-                        pair = {v, vd}
-                        if Verdict.EMPTY in pair and pair & set(nonemptyish):
+                        if Verdict.EMPTY in (v, vd) and (r.nonempty() or rd.nonempty()):
                             rep.record(f"g={g} {t} {c.value} {m.value}",
                                        "duality-consistent verdicts",
                                        f"{v.value} vs dual {vd.value}")
-                        if (c is CurveClass.HYPERELLIPTIC and m is Stability.STABLE
-                                and v in nonemptyish):
+                        if c is CurveClass.HYPERELLIPTIC and m is Stability.STABLE and r.nonempty():
                             mu = t.mu
                             s = hyper_window(mu)
                             if s <= g and mu < 2 * s:
                                 if k > hyper_h0_bound(g, s, n, d):
                                     rep.record(f"g={g} {t}", "below the hyperelliptic bound", v.value)
-                        if m is Stability.STABLE and v in nonemptyish:
+                        if m is Stability.STABLE and r.nonempty():
                             mu, lam = t.mu, t.lam
                             if 0 < mu <= 2 * g - 2 and mu < 2 * lam - 2:
                                 rep.record(f"g={g} {t} {c.value}", "below the Clifford edge", v.value)
@@ -395,8 +390,10 @@ def enumerate_classifications(g: int, n_max: int,
     out = []
     for n in range(1, n_max + 1):
         for d in range(0, 2 * n * (g - 1) + 1):
-            for k in range(1, n + d + 1):
-                out.append(classify(g, Triple(n, d, k), c, m))
+            for r in classify_column(g, n, d, range(1, n + d + 1), c, m):
+                if isinstance(r, ContradictionError):
+                    raise r
+                out.append(r)
     return out
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bnlocus import oracle
 from bnlocus.arith import Stability, Triple, hyper_window, serre_dual_triple
-from bnlocus.oracle import ContradictionError, CurveClass, _ev, classify
+from bnlocus.oracle import ContradictionError, CurveClass, _ev, classify, classify_column
 from bnlocus.regions import _IntScale, hyper_strip, in_teixidor
 
 
@@ -66,15 +66,17 @@ def test_scaled_teixidor_rejects_nonpositive_lambda():
 
 @pytest.fixture
 def inject_empty(monkeypatch):
-    """Add a rule that reports emptiness on the given triples, with cold caches."""
+    """Add a column rule that reports emptiness on the given triples, with a
+    cold column cache."""
     def inject(*triples):
-        def rule(g, t, c, m):
-            return [_ev("injected", "empty", "contradiction injected by the test")] if t in triples else []
+        def rule(g, n, d, ks, c, m):
+            ev = _ev("injected", "empty", "contradiction injected by the test")
+            return [(k, k + 1, ev) for k in ks if Triple(n, d, k) in triples]
 
         monkeypatch.setattr(oracle, "_DIRECT_RULES", oracle._DIRECT_RULES + (rule,))
-    oracle._core_evidence.cache_clear()
+    oracle._direct_column.cache_clear()
     yield inject
-    oracle._core_evidence.cache_clear()
+    oracle._direct_column.cache_clear()
 
 
 # pinned texts: a change to the rule engine must leave them byte-identical
@@ -105,3 +107,20 @@ def test_contradiction_message(inject_empty, where, c, expected):
     with pytest.raises(ContradictionError) as info:
         classify(g, t, c, Stability.STABLE)
     assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("c", [CurveClass.GENERIC, CurveClass.ARBITRARY])
+def test_column_reports_the_same_contradictions(inject_empty, c):
+    """A column holds, at each k, the error classify raises there."""
+    g = 4
+    inject_empty(Triple(1, 2, 1), Triple(1, 4, 3))
+    for d in range(0, 7):
+        ks = range(-1, d + 3)
+        column = [str(r) if isinstance(r, ContradictionError) else r for r in classify_column(g, 1, d, ks, c)]
+        one_k = []
+        for k in ks:
+            try:
+                one_k.append(classify(g, Triple(1, d, k), c, Stability.STABLE))
+            except ContradictionError as exc:
+                one_k.append(str(exc))
+        assert column == one_k, d

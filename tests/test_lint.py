@@ -1,9 +1,12 @@
-"""No module imports a name that it never uses.
+"""No module imports a name that it never uses, and the package defines no
+private name that nothing uses.
 
-No linter is installed, so this is a stdlib ``ast`` scan of the top-level
-imports of the package modules (except ``__init__.py``, which re-exports),
-the tests and the scripts.  A name counts as used when it appears anywhere
-in the module as an identifier.
+No linter is installed, so this is a stdlib ``ast`` scan of the package
+modules, the tests and the scripts.  An import counts as used when the name
+appears anywhere in its module as an identifier (``__init__.py`` is skipped,
+since it re-exports).  A private top-level function, class or constant of
+the package counts as used when any module names it outside its own
+definition, as an identifier, an attribute or an imported name.
 """
 import ast
 from pathlib import Path
@@ -32,3 +35,50 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     assert [hit for path in _modules() for hit in unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each private top-level def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def dead_private_names() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in _modules() + [ROOT / "src" / "bnlocus" / "__init__.py"]}
+    # the names each top-level statement references, so a definition's own body does not count
+    refs = [(node, _references(node)) for tree in trees.values() for node in tree.body]
+    dead = []
+    for path, tree in trees.items():
+        if path.parent.name != "bnlocus":
+            continue
+        for name, node in _private_definitions(tree):
+            if not any(name in names for other, names in refs if other is not node):
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return sorted(dead)
+
+
+def test_no_dead_private_names():
+    assert dead_private_names() == []

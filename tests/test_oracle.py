@@ -3,15 +3,19 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnlocus import oracle
 from bnlocus.arith import Stability, Triple, serre_dual_triple
 from bnlocus.oracle import (
     Classification,
+    ContradictionError,
     CurveClass,
     Verdict,
     annotate_geometry,
     classify,
+    classify_column,
     h0_max,
 )
 
@@ -241,6 +245,50 @@ def test_h0_max_bounds_every_nonempty_triple():
                     bound = h0_max(g, n, d, c)[0]
                     for k in range(bound + 1, n + d + 2):
                         assert not classify(g, Triple(n, d, k), c, ST).nonempty(), (g, c, n, d, k, bound)
+
+
+def test_h0_max_bound_is_never_shown_empty():
+    for g in range(2, 9):
+        for c in [ARB, HYP, GEN] + ([NH] if g >= 3 else []):
+            for n in range(1, 4):
+                for d in range(0, 2 * n * (g - 1) + 1):
+                    bound, attained, _ = h0_max(g, n, d, c)
+                    assert attained in ("yes", "unknown"), (g, c, n, d)
+                    if bound > 0:
+                        assert classify(g, Triple(n, d, bound), c, ST).verdict is not Verdict.EMPTY, (g, c, n, d)
+
+
+def _one_k(g, t, c, m):
+    try:
+        return classify(g, t, c, m)
+    except ContradictionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_matches_one_k_at_a_time(data):
+    """Every block of k0 = ceil(k/s) and every clipped range end in a column
+    gives what classify gives at that one k."""
+    g = data.draw(st.integers(2, 14), label="g")
+    n = data.draw(st.integers(1, 5), label="n")
+    d = data.draw(st.integers(-3, 2 * n * (g - 1) + 3), label="d")
+    start = data.draw(st.integers(-2, n + d + 3), label="start")
+    ks = range(start, start + data.draw(st.integers(1, 3 * n + 5), label="length"))
+    c = data.draw(st.sampled_from([cc for cc in CurveClass if g > 2 or cc is not NH]), label="c")
+    m = data.draw(st.sampled_from(list(Stability)), label="m")
+    column = [r if isinstance(r, Classification) else str(r) for r in classify_column(g, n, d, ks, c, m)]
+    assert column == [_one_k(g, Triple(n, d, k), c, m) for k in ks]
+
+
+def test_classify_column_checks_its_input():
+    assert classify_column(4, 2, 3, range(2, 2)) == []
+    with pytest.raises(ValueError, match="step 1"):
+        classify_column(4, 2, 3, range(1, 5, 2))
+    with pytest.raises(ValueError, match="rank"):
+        classify_column(4, 0, 3, range(1, 3))
+    with pytest.raises(ValueError, match="hyperelliptic"):
+        classify_column(2, 1, 1, range(1, 3), NH)
 
 
 def test_annotate_geometry():

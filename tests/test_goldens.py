@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from bnlocus.arith import BNPoint, Stability, Triple
-from bnlocus.oracle import ContradictionError, CurveClass, classify
+from bnlocus.oracle import ContradictionError, CurveClass, classify, h0_max
 from bnlocus.plotting import PlotSpec, render_svg
 from bnlocus.regions import (
     BmnoMode,
@@ -177,6 +177,16 @@ def test_classify_golden_margins():
     lines = _classify_lines(range(2, 9), range(1, 4), _margins)
     assert len(lines) == 20520
     assert _digest(lines) == "10af1d6d37989b1697f7b54ab4c8ae10757e3372f506c60eb1bca435ac3af4f1"
+
+
+def test_h0_max_golden():
+    """The section bound, its status and its note over every class, with two
+    degrees past each end of the slope range."""
+    lines = [f"{g} {c.value} {n} {d} {h0_max(g, n, d, c)!r}"
+             for g in range(2, 9) for c in CurveClass if g > 2 or c is not CurveClass.NON_HYPERELLIPTIC
+             for n in range(1, 5) for d in range(-2, 2 * n * (g - 1) + 3)]
+    assert len(lines) == 2760
+    assert _digest(lines) == "b54de4de1eb6f855e52d4795d18735180ca537be713b79e5d016cc41ad52a6a1"
 
 
 def test_sweep_reports_golden():

@@ -9,8 +9,10 @@ not a decision procedure for the whole plane.
 
 The oracle works on one column (g, n, d) at a time.  Each rule takes a
 range of section counts k and returns the runs of k where it fires, so a
-threshold in k is found once and its evidence built once; ``classify`` runs
-the same code at one k, and ``classify_column`` classifies a whole range.
+threshold in k is found once and its evidence built once.
+``classify_column`` classifies a whole range, and ``classify`` is a column of
+one k.  ``h0_max`` reads one stable column up to the Clifford ceiling (or chi
+above slope 2g-2) and states no section bound of its own.
 
 Duality is applied at depth exactly one (it is an involution), and for an
 arbitrary curve a dichotomy step may combine the hyperelliptic and
@@ -37,7 +39,6 @@ the 8,436 distinct ones of ``verify_oracle(6, 5)``, and
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -497,10 +498,19 @@ _NONEMPTY = (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
 # ---------------------------------------------------------------------------
 
 
-def _validate(g: int, c: CurveClass):
+def _check_column(g: int, n: int, d: int, c: CurveClass) -> CurveClass:
+    """Check the genus, the rank and the curve class, in that order, then
+    that n and d are integers; return the curve class."""
     check_genus(g)
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    c = CurveClass(c)
     if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
         raise ValueError("every genus-2 curve is hyperelliptic")
+    for name, v in (("n", n), ("d", d)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"{name} must be an integer, got {v!r}")
+    return c
 
 
 @lru_cache(maxsize=1 << 12)
@@ -605,10 +615,7 @@ def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClas
     Each entry is what :func:`classify` returns for that k, or the
     ``ContradictionError`` it raises.  The rules run once for the column.
     """
-    c, m = CurveClass(c), Stability(m)
-    _validate(g, c)
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+    c, m = _check_column(g, n, d, c), Stability(m)
     if ks.step != 1:
         raise ValueError(f"section counts must be a range of step 1, got {ks}")
     out = []
@@ -624,14 +631,11 @@ def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClas
 def classify(g: int, t: Triple, c: CurveClass = CurveClass.ARBITRARY,
              m: Stability = Stability.STABLE) -> Classification:
     """Classify the locus of triple ``t`` on a genus-``g`` curve of the given
-    class, for stable or semistable bundles."""
-    c, m = CurveClass(c), Stability(m)
-    _validate(g, c)
-    (evidence,) = _evidence_column(g, t.n, t.d, t.k, t.k + 1, c, m)
-    verdict = evidence if type(evidence) is not tuple else _combine(evidence, t.n, t.d, t.k, c, m)
-    if type(verdict) is ContradictionError:
-        raise verdict
-    return Classification(g, t, c, m, verdict, evidence)
+    class, for stable or semistable bundles: a column of one k."""
+    (r,) = classify_column(g, t.n, t.d, range(t.k, t.k + 1), c, m)
+    if type(r) is ContradictionError:
+        raise r
+    return r
 
 
 def annotate_geometry(g: int, t: Triple) -> list[str]:
@@ -663,62 +667,30 @@ def h0_max(g: int, n: int, d: int, c: CurveClass = CurveClass.ARBITRARY) -> tupl
     """Best upper bound the criteria give for h0 over stable bundles of rank
     n and degree d, with attainment status and a note.
 
-    The closed-form bound is stepped down past every section count that
-    :func:`classify` shows Empty, so the status is 'yes' (the oracle shows
-    the bound attained, or it is 0) or 'unknown', never 'no'."""
-    check_genus(g)
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    c = CurveClass(c)
-    _validate(g, c)
-    mu = Fraction(d, n)
-    note = ""
-    if d < 0:
-        bound = 0
-    elif mu > 2 * g - 2:
-        bound = d - n * (g - 1)
-        note = "slope above 2g-2: h0 equals chi"
+    It reads one stable column k = 1..top, where top is the Clifford ceiling
+    d // 2 + n, or chi = d - n(g-1) above slope 2g-2; every other section
+    bound is a rule of that column.  The result is the largest k whose
+    verdict is not Empty, with status 'yes' if that verdict is nonempty and
+    'unknown' otherwise, or (0, 'yes', ...) when every k is Empty."""
+    c = _check_column(g, n, d, c)
+    top, note = d // 2 + n, ""  # the Clifford ceiling
+    if d > (2 * g - 2) * n:
+        top, note = d - n * (g - 1), "slope above 2g-2: h0 equals chi"
     elif d == 0:
-        bound = 1 if n == 1 else 0
         note = "only the trivial bundle has sections at slope 0"
-    elif mu == 2 * g - 2:
-        bound = g if n == 1 else n * (g - 1)
+    elif d == (2 * g - 2) * n:
         note = "canonical edge" if n == 1 else "slope 2g-2 beyond rank one: h0 equals chi"
-    else:
-        candidates = [(d + 2 * n) // 2]  # Clifford
-        if _nonhyper_rules_allowed(g, c) and 1 <= mu <= 2 * g - 3:
-            candidates.append((d + n) // 2)  # Re
-        if d < 2 * n or (d == 2 * n and _nonhyper_rules_allowed(g, c)):
-            low = (d - n) // g + n  # low/mid-slope bound
-            if low + 1 in _known_points(g, c, n, d):
-                low += 1  # a sporadic point above it, which mercat_slope2 leaves alone
-            candidates.append(low)
-        if _hyper_rules_allowed(g, c):
-            s = hyper_window(mu)
-            if d % (2 * n) == 0 and 0 <= d // (2 * n) <= g - 1:
-                sv = d // (2 * n)
-                candidates.append(sv + 1 if n == 1 else sv * n)
-                if n == 1:
-                    note = "attained only by the power of the degree-2 pencil"
-            elif s <= g:
-                fb = math.floor(hyper_h0_bound(g, s, n, d))
-                if g >= 4 and 3 * n < d < 4 * n:
-                    l, lp = divmod(d - 3 * n, g)
-                    if fb == 2 * n + 2 * l + 1 and 2 * lp >= g and lp < g - 1:
-                        fb -= 1
-                        note = f"k={2 * n + 2 * l + 1} excluded by the hyperelliptic section gap"
-                candidates.append(fb)
-        if mu > g - 1:  # duality: h0 = chi + dual h0
-            dual_bound, _, _ = h0_max(g, n, 2 * n * (g - 1) - d, c)
-            candidates.append(d - n * (g - 1) + dual_bound)
-        bound = min(candidates)
-    # step down past section counts that the oracle shows empty
-    verdicts = classify_column(g, n, d, range(1, max(bound, 0) + 1), c, Stability.STABLE)
-    while bound > 0:
-        result = verdicts[bound - 1]
-        if type(result) is ContradictionError:
-            raise result
-        if result.verdict is not Verdict.EMPTY:
-            return bound, "yes" if result.nonempty() else "unknown", note
-        bound -= 1
+    column = classify_column(g, n, d, range(1, top + 1), c, Stability.STABLE)
+    if not note:  # the hyperelliptic notes come from the column's evidence
+        for r in column:
+            rules = {e.rule for e in r.evidence} if type(r) is Classification else ()
+            if "hyper_gap" in rules:
+                note = f"k={r.triple.k} excluded by the hyperelliptic section gap"
+            elif "hyper_power_point" in rules:
+                note = "attained only by the power of the degree-2 pencil"
+    for r in reversed(column):
+        if type(r) is ContradictionError:
+            raise r
+        if r.verdict is not Verdict.EMPTY:
+            return r.triple.k, "yes" if r.nonempty() else "unknown", note
     return 0, "yes", note or "no sections are possible"

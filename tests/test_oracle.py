@@ -258,6 +258,41 @@ def test_h0_max_bound_is_never_shown_empty():
                         assert classify(g, Triple(n, d, bound), c, ST).verdict is not Verdict.EMPTY, (g, c, n, d)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_h0_max_ceiling_is_safe(data):
+    """Past the column h0_max reads, every stable verdict up to n + d is Empty:
+    the Clifford ceiling d // 2 + n, or chi above slope 2g-2."""
+    g = data.draw(st.integers(2, 16), label="g")
+    n = data.draw(st.integers(1, 7), label="n")
+    d = data.draw(st.integers(-3, 2 * n * (g - 1) + 3), label="d")
+    c = data.draw(st.sampled_from([cc for cc in CurveClass if g > 2 or cc is not NH]), label="c")
+    top = d // 2 + n if d <= (2 * g - 2) * n else d - n * (g - 1)
+    for r in classify_column(g, n, d, range(top + 1, n + d + 1), c, ST):
+        assert isinstance(r, Classification) and r.verdict is Verdict.EMPTY, (g, n, d, c, r)
+
+
+def test_input_checks_in_order():
+    """Genus, rank and curve class in that order, then integer n and d, with
+    the messages of Triple; h0_max and classify_column share them."""
+    with pytest.raises(ValueError, match="genus"):
+        h0_max(1, 0, 7.0, "bogus")
+    with pytest.raises(ValueError, match="rank"):
+        h0_max(2, 0, 7.0, "bogus")
+    with pytest.raises(ValueError, match="CurveClass"):
+        h0_max(2, 1, 7.0, "bogus")
+    with pytest.raises(ValueError, match="hyperelliptic"):
+        h0_max(2, 1, 7.0, NH)
+    with pytest.raises(TypeError, match=r"^d must be an integer, got 7\.0$"):
+        h0_max(4, 2, 7.0)
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 2\.0$"):
+        h0_max(4, 2.0, 7)
+    with pytest.raises(TypeError, match=r"^n must be an integer, got True$"):
+        classify_column(4, True, 2, range(1, 1))
+    with pytest.raises(TypeError, match=r"^d must be an integer, got 7\.0$"):
+        classify_column(4, 2, 7.0, range(1, 1))
+
+
 def _one_k(g, t, c, m):
     try:
         return classify(g, t, c, m)

@@ -61,12 +61,17 @@ class SweepFailure:
         return {"input": self.input, "expected": self.expected, "observed": self.observed}
 
 
+# a suite's parameter name -> its key in the report JSON and its summary label
+_PARAM_LABELS = {"max_den": ("max_denominator", "den"), "n_max": ("max_rank", "rank")}
+
+
 @dataclass
 class SweepReport:
     suite: str
     genus_lo: int
     genus_hi: int
-    max_denominator: int
+    param: int
+    param_name: str = "max_den"
     checks_run: int = 0
     failure_count: int = 0
     failures: list[SweepFailure] = field(default_factory=list)
@@ -85,7 +90,7 @@ class SweepReport:
             "suite": self.suite,
             "genus_lo": self.genus_lo,
             "genus_hi": self.genus_hi,
-            "max_denominator": self.max_denominator,
+            _PARAM_LABELS[self.param_name][0]: self.param,
             "checks_run": self.checks_run,
             "failure_count": self.failure_count,
             "failures": [f.to_json_dict() for f in self.failures],
@@ -94,7 +99,7 @@ class SweepReport:
     def summary(self) -> str:
         state = "PASS" if self.passed else f"FAIL ({self.failure_count} failures)"
         return (f"{self.suite}: genus {self.genus_lo}..{self.genus_hi}, "
-                f"den<={self.max_denominator}, {self.checks_run} checks: {state}")
+                f"{_PARAM_LABELS[self.param_name][1]}<={self.param}, {self.checks_run} checks: {state}")
 
 
 def rationals_between(lo, hi, max_den: int, include_lo=False, include_hi=False) -> list[Fraction]:
@@ -137,7 +142,7 @@ def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, param: int, *bodies,
         raise ValueError(f"need {g_min} <= g_lo <= {hi}")
     if param < 1:
         raise ValueError(f"{param_name} must be >= 1, got {param}")
-    rep = SweepReport(suite, g_lo, g_hi, param)
+    rep = SweepReport(suite, g_lo, g_hi, param, param_name)
     for body in bodies:
         for g in range(g_lo, g_hi + 1):
             body(rep, g, param)

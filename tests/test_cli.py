@@ -82,7 +82,7 @@ def test_verify_suite(capsys):
     assert code == 0 and "PASS" in out
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--genus-min", "4",
                        "--genus-max", "4", "--max-rank", "1")
-    assert code == 0 and out.startswith("oracle: genus 4..4, den<=1, ")
+    assert code == 0 and out.startswith("oracle: genus 4..4, rank<=1, ")
 
 
 @pytest.mark.parametrize("argv", [

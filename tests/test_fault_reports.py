@@ -83,7 +83,7 @@ CASES = {
     "kernel-rho-sigma": (_kernel_rho_low, "sigma", (4, 6, 5), 882,
         "554445c5a1dede90119c8bdd7464d708738673f3bea85637173a0ad0846db00a"),
     "hyper-bound-oracle": (_hyper_bound_low, "oracle", (4, 3), 40,
-        "b38c4ccbaafd035fd98fe0a750fda01bc8630e5efbaded7ebd35dc5dc2f771c4"),
+        "3ad9687c34ee844a8ab1dc35fc76bdc5728afc74763df18a09f4e1cce1d1df11"),
     "rho-prop411": (_rho_low, "prop411", (3, 8, 6), 11,
         "b09527c171f5f50813f59744143ab577ecb6818a98dbce70028f5e93d294a267"),
     "rho-teixidor": (_rho_low, "teixidor", (3, 8, 6), 7,

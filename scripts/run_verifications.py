@@ -32,20 +32,15 @@ def main() -> int:
     parser.add_argument("--out-dir", default=None)
     args = parser.parse_args()
 
-    suites = [
-        ("boundary_gap_f", lambda: sweep.verify_prop_4_11(3, 30, 12)),
-        ("boundary_gap_t", lambda: sweep.verify_teixidor_gap(3, 30, 12)),
-        ("inclusions", lambda: sweep.verify_inclusions(4, 20, 8)),
-        ("sigma", lambda: sweep.verify_sigma(4, 20, 8)),
-        ("oracle", lambda: sweep.verify_oracle(6, 5)),
-    ]
+    suites = [sweep.verify_prop_4_11, sweep.verify_teixidor_gap, sweep.verify_inclusions,
+              sweep.verify_sigma, sweep.verify_oracle]  # each at its default window
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"machine: python {platform.python_version()}, nproc {nproc}, cpu {cpu_model()!r}")
     reports = []
     all_ok = True
-    for name, runner in suites:
+    for verify in suites:
         t0 = time.monotonic()
-        rep = runner()
+        rep = verify()
         elapsed = time.monotonic() - t0
         print(f"{rep.summary()}  [{elapsed:.1f}s]")
         reports.append(rep)

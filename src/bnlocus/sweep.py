@@ -71,7 +71,7 @@ class SweepReport:
     genus_lo: int
     genus_hi: int
     param: int
-    param_name: str = "max_den"
+    param_name: str
     checks_run: int = 0
     failure_count: int = 0
     failures: list[SweepFailure] = field(default_factory=list)

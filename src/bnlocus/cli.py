@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .regions import (
     region_membership,
     teixidor_boundary,
 )
-from . import sweep
+from . import sweep  # eager: perfbench/tracer.py imports this module, then reads sys.modules["bnlocus.sweep"]
 
 _CURVE_FLAGS = {
     "arbitrary": CurveClass.ARBITRARY,
@@ -270,34 +271,26 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.
+@functools.lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
 
-    The narrow parser parses any argv that starts with ``command`` exactly as
-    the full one does, with the same help, usage and error texts: its usage
-    line still lists every subcommand.  It saves building the seven other
-    subparsers, which is most of the cost of a one-shot request.
+    Every ``main`` call shares it, so it must not be modified.  Parsing
+    leaves it as it was, and argparse formats each help, usage and error
+    text when it prints it, so sharing changes no output.
     """
     parser = argparse.ArgumentParser(
         prog="bnlocus",
         description="Exact nonemptiness oracle and region plotter for Brill-Noether loci.",
     )
-    # the full parser keeps no metavar: argparse names the action "command" in
-    # the missing- and invalid-command errors, which only that parser reports
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_args = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # an argv that does not start with a known subcommand (help, a typo, an
-    # option first) gets the full parser and its texts
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(command)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,8 +5,7 @@ import sys
 
 import pytest
 
-from bnlocus import cli
-from bnlocus.cli import _COMMANDS, build_parser, main
+from bnlocus.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -204,40 +203,36 @@ def test_cli_text_golden(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(record.encode()).hexdigest() == digest
 
 
-# one valid argv for each subcommand, in the order of the command table
-VALID = {
-    "classify": _CLASSIFY + " --curve hyperelliptic --json",
-    "boundary": "boundary --genus 10 --fn rho --mu 9 --lambda 3",
-    "region": "region --genus 10 --id tbgn:2:3 --mu 7 --lambda 2 --mode semistable",
-    "polyline": "polyline --genus 10 --id teixidor --out p.json",
-    "plot": "plot --genus 10 --regions bmno,teixidor --out fig.svg --no-bn-curve",
-    "enumerate": "enumerate --genus 2 --max-rank 1 --semistable",
-    "verify": "verify --suite all --genus-max 8 --max-den 3 --max-rank 2",
-    "compare": "compare --genus 12 --max-den 6",
-}
+_BOUNDARY = "boundary --genus 10 --fn rho --mu 9 --lambda 3"
 
 
-def test_narrow_parser_matches_full():
-    full = build_parser()
-    (command,) = [a for a in full._actions if a.dest == "command"]
-    assert list(command.choices) == list(_COMMANDS) == list(VALID)
-    for name, argv in VALID.items():
-        assert vars(build_parser(name).parse_args(argv.split())) == vars(full.parse_args(argv.split()))
-
-
-def test_main_builds_one_parser(capsys, monkeypatch):
-    built = []
-
-    def spy(command=None):
-        built.append(command)
-        return build_parser(command)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    assert run(capsys, *VALID["boundary"].split())[0] == 0
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, *_BOUNDARY.split())[0] == 0
     assert run(capsys, "-h")[0] == 0
     assert run(capsys, "classif")[0] == 1
-    assert main(iter(VALID["boundary"].split())) == 0  # any iterable, as argparse takes
-    assert built == ["boundary", None, None, "boundary"]
+    assert run(capsys, "--bogus", "classify")[0] == 1
+    assert main(iter(_BOUNDARY.split())) == 0  # any iterable, as argparse takes
+    assert build_parser.cache_info().misses == 1
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    classify = (_CLASSIFY + " --curve hyperelliptic --json").split()
+    assert '"stability": "semistable"' in run(capsys, *classify, "--semistable")[1]
+    first = run(capsys, *classify)
+    assert first[0] == 0 and '"stability": "stable"' in first[1]
+    assert run(capsys, *classify, "--bogus")[0] == 1
+    assert run(capsys, *classify) == first
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse texts recorded under Python 3.11")
+def test_shared_parser_formats_help_when_printed(capsys, monkeypatch):
+    build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    record = json.dumps(list(run(capsys, "-h")))
+    assert hashlib.sha256(record.encode()).hexdigest() == dict(CLI_TEXTS)["-h"]
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

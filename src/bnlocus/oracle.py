@@ -12,7 +12,8 @@ range of section counts k and returns the runs of k where it fires, so a
 threshold in k is found once and its evidence built once.
 ``classify_column`` classifies a whole range, and ``classify`` is a column of
 one k.  ``h0_max`` reads one stable column up to the Clifford ceiling (or chi
-above slope 2g-2) and states no section bound of its own.
+above slope 2g-2; none at negative degree) and states no section bound of its
+own.
 
 Duality is applied at depth exactly one (it is an involution), and for an
 arbitrary curve a dichotomy step may combine the hyperelliptic and
@@ -498,18 +499,22 @@ _NONEMPTY = (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
 # ---------------------------------------------------------------------------
 
 
+def _check_int(name: str, v) -> None:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+
+
 def _check_column(g: int, n: int, d: int, c: CurveClass) -> CurveClass:
-    """Check the genus, the rank and the curve class, in that order, then
-    that n and d are integers; return the curve class."""
+    """Check the genus, that n is an integer, the rank and the curve class,
+    in that order, then that d is an integer; return the curve class."""
     check_genus(g)
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     c = CurveClass(c)
     if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
         raise ValueError("every genus-2 curve is hyperelliptic")
-    for name, v in (("n", n), ("d", d)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"{name} must be an integer, got {v!r}")
+    _check_int("d", d)
     return c
 
 
@@ -668,11 +673,14 @@ def h0_max(g: int, n: int, d: int, c: CurveClass = CurveClass.ARBITRARY) -> tupl
     n and degree d, with attainment status and a note.
 
     It reads one stable column k = 1..top, where top is the Clifford ceiling
-    d // 2 + n, or chi = d - n(g-1) above slope 2g-2; every other section
+    d // 2 + n, or chi = d - n(g-1) above slope 2g-2, and no column at
+    negative degree, where no stable bundle has sections; every other section
     bound is a rule of that column.  The result is the largest k whose
     verdict is not Empty, with status 'yes' if that verdict is nonempty and
     'unknown' otherwise, or (0, 'yes', ...) when every k is Empty."""
     c = _check_column(g, n, d, c)
+    if d < 0:  # a stable bundle of negative slope has no sections
+        return 0, "yes", "no sections are possible"
     top, note = d // 2 + n, ""  # the Clifford ceiling
     if d > (2 * g - 2) * n:
         top, note = d - n * (g - 1), "slope above 2g-2: h0 equals chi"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnlocus import oracle
+from bnlocus import cli, oracle
 from bnlocus.arith import Stability, Triple, serre_dual_triple
 from bnlocus.oracle import (
     Classification,
@@ -237,6 +237,12 @@ def test_h0_max_examples():
     assert h0_max(3, 2, 4, NH) == h0_max(3, 2, 4, GEN) == (3, "yes", "")
 
 
+def test_h0_max_reads_no_column_at_negative_degree():
+    misses = oracle._direct_column.cache_info().misses
+    assert h0_max(4, 7, -1) == (0, "yes", "no sections are possible")
+    assert oracle._direct_column.cache_info().misses == misses
+
+
 def test_h0_max_bounds_every_nonempty_triple():
     for g in range(2, 9):
         for c in [ARB, HYP, GEN] + ([NH] if g >= 3 else []):
@@ -262,19 +268,20 @@ def test_h0_max_bound_is_never_shown_empty():
 @given(st.data())
 def test_h0_max_ceiling_is_safe(data):
     """Past the column h0_max reads, every stable verdict up to n + d is Empty:
-    the Clifford ceiling d // 2 + n, or chi above slope 2g-2."""
+    the Clifford ceiling d // 2 + n, chi above slope 2g-2, and no column at
+    negative degree."""
     g = data.draw(st.integers(2, 16), label="g")
     n = data.draw(st.integers(1, 7), label="n")
     d = data.draw(st.integers(-3, 2 * n * (g - 1) + 3), label="d")
     c = data.draw(st.sampled_from([cc for cc in CurveClass if g > 2 or cc is not NH]), label="c")
-    top = d // 2 + n if d <= (2 * g - 2) * n else d - n * (g - 1)
+    top = 0 if d < 0 else d // 2 + n if d <= (2 * g - 2) * n else d - n * (g - 1)
     for r in classify_column(g, n, d, range(top + 1, n + d + 1), c, ST):
         assert isinstance(r, Classification) and r.verdict is Verdict.EMPTY, (g, n, d, c, r)
 
 
 def test_input_checks_in_order():
-    """Genus, rank and curve class in that order, then integer n and d, with
-    the messages of Triple; h0_max and classify_column share them."""
+    """Genus, integer n, rank and curve class in that order, then integer d,
+    with the messages of Triple; h0_max and classify_column share them."""
     with pytest.raises(ValueError, match="genus"):
         h0_max(1, 0, 7.0, "bogus")
     with pytest.raises(ValueError, match="rank"):
@@ -291,6 +298,10 @@ def test_input_checks_in_order():
         classify_column(4, True, 2, range(1, 1))
     with pytest.raises(TypeError, match=r"^d must be an integer, got 7\.0$"):
         classify_column(4, 2, 7.0, range(1, 1))
+    with pytest.raises(TypeError, match=r"^n must be an integer, got None$"):
+        h0_max(4, None, 2)
+    with pytest.raises(TypeError, match=r"^n must be an integer, got None$"):
+        classify_column(4, None, 2, range(1, 2))
 
 
 def _one_k(g, t, c, m):
@@ -351,9 +362,11 @@ def test_classification_stores_the_verdict_only():
 
 
 def test_oracle_caches_are_bounded():
-    caches = {name: fn.cache_parameters()["maxsize"] for name, fn in vars(oracle).items()
-              if hasattr(fn, "cache_parameters") and fn.__module__ == oracle.__name__}
-    assert caches and all(size is not None for size in caches.values()), caches
+    """Every lru_cache of the oracle and of the command line has a maxsize."""
+    for module in (oracle, cli):
+        caches = {name: fn.cache_parameters()["maxsize"] for name, fn in vars(module).items()
+                  if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__}
+        assert caches and all(size is not None for size in caches.values()), caches
 
 
 def test_region_soundness_sample():

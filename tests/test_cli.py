@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bnlocus.arith import Triple
 from bnlocus.cli import build_parser, main
 
 
@@ -47,6 +48,8 @@ def test_boundary_curve_compare(capsys):
     code, out, _ = run(capsys, "boundary", "--genus", "10", "--fn", "rho",
                        "--mu", "9", "--lambda", "3")
     assert code == 0 and "on the expected-dimension curve" in out
+    assert run(capsys, "boundary", "--genus", "10", "--fn", "rho", "--mu", "7") == (
+        0, "curve value near 2.162278\n", "")
 
 
 def test_region_membership(capsys):
@@ -56,6 +59,53 @@ def test_region_membership(capsys):
     code, out, _ = run(capsys, "region", "--genus", "10", "--id", "bmno",
                        "--mu", "7", "--lambda", "2", "--json")
     assert code == 0 and json.loads(out)["member"] is False
+
+
+# every region token, on an edge of its region and just off it: (genus,
+# token, mu, lambda, extra options, answer)
+REGION_CASES = [
+    (4, "p", "0", "1", (), "In"),                     # mu >= 2 lam - 2 edge
+    (4, "p", "0", "101/100", (), "Out"),
+    (4, "p", "4", "1", (), "Out"),                    # strict mu < lam + g - 1 edge
+    (4, "p", "4", "101/100", (), "In"),
+    (4, "r", "3", "2", (), "In"),                     # the slope g - 1 edge
+    (4, "r", "301/100", "2", (), "Out"),
+    (4, "bgn", "1", "99/100", (), "In"),              # below the excluded corner
+    (4, "bgn", "1", "1", (), "Out"),
+    (4, "bgn", "1/2", "7/8", (), "In"),               # top line
+    (4, "bgn", "1/2", "701/800", (), "Out"),
+    (4, "m", "2", "99/100", (), "In"),                # the sliver
+    (4, "m", "2", "1", (), "Out"),
+    (4, "m", "101/100", "1/2", (), "In"),             # open left edge
+    (4, "m", "1", "1/2", (), "Out"),
+    (4, "tbgn:2:2", "3", "199/100", (), "In"),
+    (4, "tbgn:2:2", "3", "2", (), "Out"),
+    (4, "tm:1:2", "3", "199/100", (), "In"),
+    (4, "tm:1:2", "3", "2", (), "Out"),
+    (4, "tm:1:2", "5/2", "9/4", (), "In"),
+    (4, "tm:1:2", "5/2", "901/400", (), "Out"),
+    (10, "bmno", "13/2", "19/10", (), "In"),          # on the seesaw f
+    (10, "bmno", "13/2", "191/100", (), "Out"),
+    (10, "bmno", "7", "2", (), "Out"),                # chain level at an integer slope
+    (10, "bmno", "7", "2", ("--mode", "semistable"), "In"),
+    (10, "bmno", "7", "199/100", (), "In"),
+    (10, "teixidor", "13/2", "3/2", (), "In"),        # on the plateau of t
+    (10, "teixidor", "13/2", "151/100", (), "Out"),
+    (4, "teixidor", "1", "1", (), "Out"),             # stable exclusion
+    (4, "teixidor", "1", "1", ("--semistable",), "In"),
+    (4, "bmnoh", "5/2", "7/4", (), "In"),             # on h
+    (4, "bmnoh", "5/2", "701/400", (), "Out"),
+    (4, "bmnoh", "2", "1", (), "In"),                 # image of the known point (2, 1)
+    (4, "bmnoh", "2", "101/100", (), "Out"),
+    (10, "bncurve", "9", "3", (), "In"),              # rho~ = 0
+    (10, "bncurve", "9", "301/100", (), "Out"),
+]
+
+
+@pytest.mark.parametrize("g, token, mu, lam, extra, answer", REGION_CASES)
+def test_region_every_token(capsys, g, token, mu, lam, extra, answer):
+    code, out, err = run(capsys, "region", "--genus", str(g), "--id", token, "--mu", mu, "--lambda", lam, *extra)
+    assert (code, out, err) == (0, answer + "\n", "")
 
 
 def test_polyline_json(capsys):
@@ -82,6 +132,26 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--genus-min", "4",
                        "--genus-max", "4", "--max-rank", "1")
     assert code == 0 and out.startswith("oracle: genus 4..4, rank<=1, ")
+    assert run(capsys, "verify", "--suite", "teixidor", "--genus-max", "6") == (
+        0, "boundary_gap_t: genus 3..6, den<=12, 1314 checks: PASS\n", "")
+
+
+def test_verify_out_writes_one_report_per_suite(capsys, tmp_path):
+    out_file = tmp_path / "reports.json"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--genus-min", "4", "--genus-max", "4",
+                       "--max-den", "2", "--max-rank", "1", "--out", str(out_file))
+    assert code == 0
+    doc = json.loads(out_file.read_text())
+    assert isinstance(doc, list)
+    assert [r["suite"] for r in doc] == ["boundary_gap_f", "boundary_gap_t", "inclusions", "sigma", "oracle"]
+    assert [r["checks_run"] for r in doc] == [11, 17, 271, 1243, 224]
+    assert out == ("boundary_gap_f: genus 4..4, den<=2, 11 checks: PASS\n"
+                   "boundary_gap_t: genus 4..4, den<=2, 17 checks: PASS\n"
+                   "inclusions: genus 4..4, den<=2, 271 checks: PASS\n"
+                   "sigma: genus 4..4, den<=2, 1243 checks: PASS\n"
+                   "oracle: genus 4..4, rank<=1, 224 checks: PASS\n")
+    code, _, _ = run(capsys, "verify", "--suite", "prop411", "--genus-max", "4", "--out", str(out_file))
+    assert code == 0 and [r["suite"] for r in json.loads(out_file.read_text())] == ["boundary_gap_f"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,6 +206,16 @@ def test_io_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "plot", "--genus", "10", "--regions", "bmno",
                        "--out", str(tmp_path / "missing" / "fig.svg"))
     assert code == 3 and "i/o error" in err
+
+
+def test_contradiction_exit_code(capsys, inject_empty):
+    inject_empty(Triple(1, 2, 1))
+    code, out, err = run(capsys, "classify", "--genus", "4", "--rank", "1", "--degree", "2",
+                         "--sections", "1", "--curve", "generic")
+    assert (code, out) == (2, "")
+    assert err == ("internal contradiction: contradictory evidence at (n=1, d=2, k=1) [generic,stable]: "
+                   "line_bundle_existence:nonempty; mercat_slope2:nonempty; tensor_effective:nonempty; "
+                   "tensor_integer_slope:nonempty; teixidor:nonempty; injected:empty; serre:nonempty\n")
 
 
 def test_help_exits_zero(capsys):

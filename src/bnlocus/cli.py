@@ -27,14 +27,6 @@ from .regions import (
 )
 from . import sweep  # eager: perfbench/tracer.py imports this module, then reads sys.modules["bnlocus.sweep"]
 
-_CURVE_FLAGS = {
-    "arbitrary": CurveClass.ARBITRARY,
-    "generic": CurveClass.GENERIC,
-    "hyperelliptic": CurveClass.HYPERELLIPTIC,
-    "nonhyperelliptic": CurveClass.NON_HYPERELLIPTIC,
-}
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
@@ -72,7 +64,7 @@ def _print_classification(r: Classification, as_json: bool) -> None:
 def cmd_classify(args) -> int:
     t = Triple(args.rank, args.degree, args.sections)
     m = Stability.SEMISTABLE if args.semistable else Stability.STABLE
-    r = classify(args.genus, t, _CURVE_FLAGS[args.curve], m)
+    r = classify(args.genus, t, CurveClass(args.curve), m)
     _print_classification(r, args.json)
     return 0
 
@@ -137,7 +129,7 @@ def cmd_plot(args) -> int:
 
 def cmd_enumerate(args) -> int:
     m = Stability.SEMISTABLE if args.semistable else Stability.STABLE
-    rows = sweep.enumerate_classifications(args.genus, args.max_rank, _CURVE_FLAGS[args.curve], m)
+    rows = sweep.enumerate_classifications(args.genus, args.max_rank, CurveClass(args.curve), m)
     _write_output(sweep.classification_csv(rows), args.out)
     return 0
 
@@ -184,12 +176,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
+_CURVES = sorted(c.value for c in CurveClass)
+
+
 def _classify_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--sections", type=int, required=True)
-    p.add_argument("--curve", choices=sorted(_CURVE_FLAGS), default="arbitrary")
+    p.add_argument("--curve", choices=_CURVES, default="arbitrary")
     p.add_argument("--semistable", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
@@ -234,7 +229,7 @@ def _plot_args(p) -> None:
 def _enumerate_args(p) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--curve", choices=sorted(_CURVE_FLAGS), default="arbitrary")
+    p.add_argument("--curve", choices=_CURVES, default="arbitrary")
     p.add_argument("--semistable", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enumerate)

@@ -468,13 +468,9 @@ def in_bmno_h(g: int, p) -> bool:
     (BGN u M u {(2,1)}) tiles, clipped to the pentagon; reflection-symmetric."""
     check_genus(g, 3)
     mu, lam = _as_point(p)
-    if not in_pentagon(g, p):
+    if not in_pentagon(g, p) or mu <= 0:
         return False
-    if mu <= 0 or mu > 2 * g - 2:
-        return False
-    s = hyper_window(mu)
-    if s > g - 1:
-        return False
+    s = hyper_window(mu)  # at most g-1, since the pentagon holds mu <= 2g-2
     if in_translated_bgn(g, 2 * s - 2, s, p) or in_translated_m(g, 2 * s - 2, s, p):
         return True
     return mu == 2 * s and lam == s  # image of the known point (2, 1)
@@ -746,9 +742,7 @@ class _IntKernel(_IntScale):
         D, gd = self.D, self.gd
         if not (M < L + gd and M >= 2 * L - 2 * D and 0 < M <= 2 * gd and L > 0):
             return False
-        s = hyper_window(M, D)
-        if s > self.g - 1:
-            return False
+        s = hyper_window(M, D)  # at most g-1, since M <= 2gd
         bgn, m = self._hyper[s]
         if bgn.contains(M, L) or m.contains(M, L):
             return True
@@ -806,6 +800,21 @@ def parse_region_id(token: str) -> RegionId:
     return RegionId(RegionKind(token))
 
 
+# the three regions under the graph of a boundary function
+_GRAPHS = {
+    RegionKind.BMNO: bmno_boundary,
+    RegionKind.TEIXIDOR: teixidor_boundary,
+    RegionKind.BMNO_H: hyper_boundary,
+}
+_LOW_TRAPEZIA = (RegionKind.BGN, RegionKind.T_BGN)
+_MID_TRAPEZIA = (RegionKind.MERCAT, RegionKind.T_M)
+
+
+def _t_params(region: RegionId) -> tuple[int, int]:
+    """(d', s) of a trapezium: bgn and m are the T-images at (0, 1)."""
+    return (0, 1) if region.d_shift is None else (region.d_shift, region.s)
+
+
 @dataclass(frozen=True)
 class PolySegment:
     start: BNPoint
@@ -856,10 +865,9 @@ def _half_segments(g: int) -> list[PolySegment]:
 
 
 def _trapezium_segments(g: int, d_shift: int, s: int, kind: RegionKind) -> list[PolySegment]:
-    lo_top = Fraction(s, g) * Fraction(0 - 1) + s  # top value at the left edge
-    hi_top = Fraction(s, g) + s                    # top value at the right edge
-    if kind in (RegionKind.BGN, RegionKind.T_BGN):
+    if kind in _LOW_TRAPEZIA:
         a, b = Fraction(d_shift), Fraction(d_shift + 1)
+        lo_top = s - Fraction(s, g)  # top value at the left edge
         return [
             _seg((a, 0), (b, 0), False, False, interior=False),
             _seg((a, 0), (a, lo_top), False, False, interior=False),   # strict left edge
@@ -867,6 +875,7 @@ def _trapezium_segments(g: int, d_shift: int, s: int, kind: RegionKind) -> list[
             _seg((b, s), (b, 0), False, False),                        # right edge below corner
         ]
     a, b = Fraction(d_shift + 1), Fraction(d_shift + 2)
+    hi_top = s + Fraction(s, g)  # top value at the right edge
     return [
         _seg((a, 0), (b, 0), False, False, interior=False),
         _seg((a, 0), (a, s), False, False, interior=False),
@@ -884,25 +893,15 @@ def boundary_polyline(g: int, region: RegionId) -> list[PolySegment]:
     """
     check_genus(g, 3)
     k = region.kind
+    if k in _GRAPHS:
+        return _graph_segments(_GRAPHS[k](g))
     if k is RegionKind.PENTAGON:
         return _pentagon_segments(g)
     if k is RegionKind.HALF:
         return _half_segments(g)
-    if k is RegionKind.BGN:
-        return _trapezium_segments(g, 0, 1, RegionKind.BGN)
-    if k is RegionKind.MERCAT:
-        return _trapezium_segments(g, 0, 1, RegionKind.MERCAT)
-    if k is RegionKind.T_BGN:
-        return _trapezium_segments(g, region.d_shift, region.s, RegionKind.T_BGN)
-    if k is RegionKind.T_M:
-        return _trapezium_segments(g, region.d_shift, region.s, RegionKind.T_M)
-    if k is RegionKind.BMNO:
-        return _graph_segments(bmno_boundary(g))
-    if k is RegionKind.TEIXIDOR:
-        return _graph_segments(teixidor_boundary(g))
-    if k is RegionKind.BMNO_H:
-        return _graph_segments(hyper_boundary(g))
-    raise ValueError(f"no piecewise-linear boundary for region {region.token()!r}")
+    if k is RegionKind.BN_CURVE:
+        raise ValueError(f"no piecewise-linear boundary for region {region.token()!r}")
+    return _trapezium_segments(g, *_t_params(region), k)
 
 
 def polyline_json_dict(g: int, region: RegionId) -> dict:
@@ -918,24 +917,18 @@ def region_membership(g: int, region: RegionId, p, *, mode: BmnoMode = BmnoMode.
     """Uniform membership dispatch used by the command-line frontend."""
     k = region.kind
     p = _as_point(p)
+    if k in _LOW_TRAPEZIA:
+        return in_translated_bgn(g, *_t_params(region), p)
+    if k in _MID_TRAPEZIA:
+        return in_translated_m(g, *_t_params(region), p)
     if k is RegionKind.PENTAGON:
         return in_pentagon(g, p)
     if k is RegionKind.HALF:
         return in_half_pentagon(g, p)
-    if k is RegionKind.BGN:
-        return in_bgn(g, p)
-    if k is RegionKind.MERCAT:
-        return in_m(g, p)
-    if k is RegionKind.T_BGN:
-        return in_translated_bgn(g, region.d_shift, region.s, p)
-    if k is RegionKind.T_M:
-        return in_translated_m(g, region.d_shift, region.s, p)
     if k is RegionKind.BMNO:
         return in_bmno(g, p, mode)
     if k is RegionKind.TEIXIDOR:
         return in_teixidor(g, p, stability)
     if k is RegionKind.BMNO_H:
         return in_bmno_h(g, p)
-    if k is RegionKind.BN_CURVE:
-        return p.lam > 0 and rho_tilde(g, p) >= 0
-    raise ValueError(f"unknown region {region.token()!r}")
+    return p.lam > 0 and rho_tilde(g, p) >= 0  # bncurve

@@ -453,9 +453,7 @@ def compare_regions(g: int, max_den: int = 8) -> RegionComparison:
     only_t: list[BNPoint] = []
     checks = 0
     for mu in rationals_between(0, 2 * g - 2, max_den):
-        for lam in sorted({f(mu), t(mu)}):
-            if lam <= 0:
-                continue
+        for lam in sorted({f(mu), t(mu)}):  # both positive on (0, 2g-2)
             p = BNPoint(mu, lam)
             checks += 1
             in_b = in_bmno(g, p, BmnoMode.SEMISTABLE)

@@ -2,9 +2,9 @@
 private name that nothing uses.
 
 No linter is installed, so this is a stdlib ``ast`` scan of the package
-modules, the tests and the scripts.  An import counts as used when the name
-appears anywhere in its module as an identifier (``__init__.py`` is skipped,
-since it re-exports).  A private top-level function, class or constant of
+modules and the tests.  An import counts as used when the name appears
+anywhere in its module as an identifier (``__init__.py`` is skipped, since
+it re-exports).  A private top-level function, class or constant of
 the package counts as used when any module names it outside its own
 definition, as an identifier, an attribute or an imported name.
 """
@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _modules() -> list[Path]:
     package = [p for p in (ROOT / "src" / "bnlocus").glob("*.py") if p.name != "__init__.py"]
-    return sorted(package + list((ROOT / "tests").glob("*.py")) + list((ROOT / "scripts").glob("*.py")))
+    return sorted(package + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(path: Path) -> list[str]:

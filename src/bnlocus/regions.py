@@ -774,6 +774,8 @@ class RegionId:
     s: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, RegionKind):
+            raise TypeError(f"region kind must be a RegionKind, not {self.kind!r}")
         if self.kind in (RegionKind.T_BGN, RegionKind.T_M):
             if self.d_shift is None or self.s is None or self.s < 1:
                 raise ValueError("shifted regions need d_shift and s >= 1")

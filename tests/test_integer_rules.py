@@ -63,7 +63,13 @@ def test_scaled_teixidor_rejects_nonpositive_lambda():
 # ---------------------------------------------------------------------------
 
 
-# pinned texts: a change to the rule engine must leave them byte-identical
+# pinned texts: a change to the rule engine must leave them byte-identical.
+# ``where`` names the injected triples, each as "triple" or "dual", with
+# ":side" when the clash is on that side of the curve dichotomy only.  The
+# hyperelliptic side is read first.  A clash in the dual triple's dichotomy
+# is also a clash in the triple's own dichotomy (each side's verdict at a
+# triple and at its Serre dual reads the same two evidence lists), so its
+# text comes from the triple's dichotomy and names the dual triple.
 @pytest.mark.parametrize("where, c, expected", [
     ("triple", CurveClass.GENERIC,
      "contradictory evidence at (n=1, d=2, k=1) [generic,stable]: "
@@ -82,77 +88,54 @@ def test_scaled_teixidor_rejects_nonpositive_lambda():
      "contradictory evidence at (n=1, d=4, k=2) [hyperelliptic,stable]: "
      "line_bundle_existence:nonempty; hyper_pencil_power:nonempty; tensor_sections:nonempty; "
      "tensor_integer_slope:nonempty; teixidor:nonempty; hyper_strip:nonempty; injected:empty"),
+    ("triple:nonhyperelliptic", CurveClass.ARBITRARY,
+     "contradictory evidence at (n=1, d=2, k=1) [nonhyperelliptic,stable]: "
+     "line_bundle_existence:nonempty; mercat_slope2:nonempty; tensor_effective:nonempty; "
+     "tensor_integer_slope:nonempty; teixidor:nonempty; injected:empty; serre:nonempty"),
+    ("dual:nonhyperelliptic", CurveClass.ARBITRARY,
+     "contradictory evidence at (n=1, d=4, k=2) [nonhyperelliptic,stable]: "
+     "line_bundle_existence:nonempty; tensor_sections:nonempty; tensor_integer_slope:nonempty; "
+     "teixidor:nonempty; injected:empty"),
+    ("dual:hyperelliptic", CurveClass.ARBITRARY,
+     "contradictory evidence at (n=1, d=4, k=2) [hyperelliptic,stable]: "
+     "line_bundle_existence:nonempty; hyper_pencil_power:nonempty; tensor_sections:nonempty; "
+     "tensor_integer_slope:nonempty; teixidor:nonempty; hyper_strip:nonempty; injected:empty"),
+    ("triple:nonhyperelliptic dual:hyperelliptic", CurveClass.ARBITRARY,
+     "contradictory evidence at (n=1, d=4, k=2) [hyperelliptic,stable]: "
+     "line_bundle_existence:nonempty; hyper_pencil_power:nonempty; tensor_sections:nonempty; "
+     "tensor_integer_slope:nonempty; teixidor:nonempty; hyper_strip:nonempty; injected:empty"),
 ])
 def test_contradiction_message(inject_empty, where, c, expected):
     """The text names the triple whose evidence clashed: the requested one,
     its Serre dual, or one side of the curve dichotomy."""
     g, t = 4, Triple(1, 2, 1)
-    inject_empty(t if where == "triple" else serre_dual_triple(g, t))
+    at = {"triple": t, "dual": serre_dual_triple(g, t)}
+    for injection in where.split():
+        place, _, side = injection.partition(":")
+        inject_empty(at[place], only=CurveClass(side) if side else None)
     with pytest.raises(ContradictionError) as info:
         classify(g, t, c, Stability.STABLE)
     assert str(info.value) == expected
 
 
-def _assert_columns_match_classify(g: int, c: CurveClass) -> None:
+# ``only`` puts the clash on one side of an arbitrary curve's dichotomy
+@pytest.mark.parametrize("c, only", [
+    (CurveClass.GENERIC, None),
+    (CurveClass.ARBITRARY, None),
+    (CurveClass.ARBITRARY, CurveClass.HYPERELLIPTIC),
+    (CurveClass.ARBITRARY, CurveClass.NON_HYPERELLIPTIC),
+], ids=["CurveClass.GENERIC", "CurveClass.ARBITRARY", "hyperelliptic-side", "nonhyperelliptic-side"])
+def test_column_reports_the_same_contradictions(inject_empty, c, only):
+    """A column holds, at each k, the error classify raises there."""
+    g = 4
+    inject_empty(Triple(1, 2, 1), Triple(1, 4, 3), only=only)
     for d in range(0, 7):
         ks = range(-1, d + 3)
         column = [str(r) if isinstance(r, ContradictionError) else r for r in classify_column(g, 1, d, ks, c)]
         one_k = []
         for k in ks:
             try:
-                one_k.append(classify(g, Triple(1, d, k), c, Stability.STABLE))
+                one_k.append(classify(g, Triple(1, d, k), c))
             except ContradictionError as exc:
                 one_k.append(str(exc))
         assert column == one_k, d
-
-
-@pytest.mark.parametrize("c", [CurveClass.GENERIC, CurveClass.ARBITRARY])
-def test_column_reports_the_same_contradictions(inject_empty, c):
-    """A column holds, at each k, the error classify raises there."""
-    inject_empty(Triple(1, 2, 1), Triple(1, 4, 3))
-    _assert_columns_match_classify(4, c)
-
-
-# pinned texts of contradictions on one side of the dichotomy, for an
-# arbitrary curve.  The hyperelliptic side is read first.  A clash in the
-# dual triple's dichotomy is also a clash in the triple's own dichotomy (each
-# side's verdict at a triple and at its Serre dual reads the same two
-# evidence lists), so its text comes from the triple's dichotomy and names
-# the dual triple.
-_NON_HYP_AT_TRIPLE = (
-    "contradictory evidence at (n=1, d=2, k=1) [nonhyperelliptic,stable]: "
-    "line_bundle_existence:nonempty; mercat_slope2:nonempty; tensor_effective:nonempty; "
-    "tensor_integer_slope:nonempty; teixidor:nonempty; injected:empty; serre:nonempty")
-_NON_HYP_AT_DUAL = (
-    "contradictory evidence at (n=1, d=4, k=2) [nonhyperelliptic,stable]: "
-    "line_bundle_existence:nonempty; tensor_sections:nonempty; tensor_integer_slope:nonempty; "
-    "teixidor:nonempty; injected:empty")
-_HYP_AT_DUAL = (
-    "contradictory evidence at (n=1, d=4, k=2) [hyperelliptic,stable]: "
-    "line_bundle_existence:nonempty; hyper_pencil_power:nonempty; tensor_sections:nonempty; "
-    "tensor_integer_slope:nonempty; teixidor:nonempty; hyper_strip:nonempty; injected:empty")
-
-
-@pytest.mark.parametrize("injections, asked, expected", [
-    ([("triple", CurveClass.NON_HYPERELLIPTIC)], "triple", _NON_HYP_AT_TRIPLE),
-    ([("dual", CurveClass.NON_HYPERELLIPTIC)], "triple", _NON_HYP_AT_DUAL),
-    ([("triple", CurveClass.NON_HYPERELLIPTIC)], "dual", _NON_HYP_AT_TRIPLE.removesuffix("; serre:nonempty")),
-    ([("dual", CurveClass.NON_HYPERELLIPTIC)], "dual", _NON_HYP_AT_DUAL + "; serre:nonempty"),
-    ([("dual", CurveClass.HYPERELLIPTIC)], "triple", _HYP_AT_DUAL),
-    ([("triple", CurveClass.NON_HYPERELLIPTIC), ("dual", CurveClass.HYPERELLIPTIC)], "triple", _HYP_AT_DUAL),
-])
-def test_contradiction_message_on_one_side(inject_empty, injections, asked, expected):
-    g, t = 4, Triple(1, 2, 1)
-    at = {"triple": t, "dual": serre_dual_triple(g, t)}
-    for where, only in injections:
-        inject_empty(at[where], only=only)
-    with pytest.raises(ContradictionError) as info:
-        classify(g, at[asked], CurveClass.ARBITRARY, Stability.STABLE)
-    assert str(info.value) == expected
-
-
-@pytest.mark.parametrize("only", [CurveClass.HYPERELLIPTIC, CurveClass.NON_HYPERELLIPTIC])
-def test_column_reports_the_same_one_side_contradictions(inject_empty, only):
-    """As above, with the clash on one side of an arbitrary curve's dichotomy."""
-    inject_empty(Triple(1, 2, 1), Triple(1, 4, 3), only=only)
-    _assert_columns_match_classify(4, CurveClass.ARBITRARY)

@@ -495,6 +495,12 @@ def test_parse_region_id_errors():
         parse_region_id("tbgn:1")
 
 
+def test_region_id_rejects_a_kind_that_is_not_a_region_kind():
+    # the dispatches in boundary_polyline and region_membership rely on it
+    with pytest.raises(TypeError):
+        RegionId("bgn")
+
+
 # -- duality invariance (property form) ---------------------------------------
 
 

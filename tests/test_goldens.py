@@ -35,7 +35,9 @@ from bnlocus.regions import (
     teixidor_boundary,
 )
 from bnlocus.sweep import (
+    classification_csv,
     compare_regions,
+    enumerate_classifications,
     verify_inclusions,
     verify_prop_4_11,
     verify_sigma,
@@ -177,6 +179,26 @@ def test_classify_golden_margins():
     lines = _classify_lines(range(2, 9), range(1, 4), _margins)
     assert len(lines) == 20520
     assert _digest(lines) == "10af1d6d37989b1697f7b54ab4c8ae10757e3372f506c60eb1bca435ac3af4f1"
+
+
+ENUMERATE = {
+    2: "9b95473b30fc150dbea1c2ea89972b228a8537925a33bf1071fd2423c7e4a67a",
+    3: "0c520e0327caac264699ec1aeb0a431c4469ce328a2377d516f931d67e7eb11f",
+    4: "f7e05e3612174a1f2dfdf7cd6c77bf2ce2284c5ce28f54064f977790c2eabf3c",
+    5: "b57bde6c01ddd62c24b1136758dc3d4b057fc7597443bbca4bac101cde6020a6",
+    6: "971ddc6d0cb1c9145eb7a1d35b4d60b813464fa315e3e80d3107156c3fa8993b",
+    7: "42ed44efe7280b354e21e495ebe075eb62f9c6f649cd88cf5a52d251472948da",
+    8: "c157f4ccb20b3bab9225753722432f5f4f0057e7a1fd2fc4d04c6017c163fc63",
+}
+
+
+@pytest.mark.parametrize("g", sorted(ENUMERATE))
+def test_enumerate_golden(g):
+    """The enumerate CSV at rank <= 3 for every curve class valid at g and
+    both stabilities."""
+    lines = [classification_csv(enumerate_classifications(g, 3, c, m))
+             for c in CurveClass if g > 2 or c is not CurveClass.NON_HYPERELLIPTIC for m in Stability]
+    assert _digest(lines) == ENUMERATE[g]
 
 
 def test_h0_max_golden():

@@ -17,11 +17,16 @@ own.
 
 Duality is applied at depth exactly one (it is an involution), and for an
 arbitrary curve a dichotomy step may combine the hyperelliptic and
-non-hyperelliptic classifications when they agree.  Both go through one
-function, ``_evidence_column``: it gathers the direct and dichotomy evidence
-of each triple and adds the serre step, both for the requested class and for
-each side of the dichotomy.  The Serre duals of a column form one column too,
-shifted by k* = k + n(g-1) - d.
+non-hyperelliptic classifications when they agree.  ``_base_column`` gathers
+the direct and dichotomy evidence of each triple with its verdict before the
+serre step, and ``_evidence_column`` adds the serre step by reading that layer
+at d and at the dual degree d* = 2n(g-1) - d, both for the requested class and
+for each side of the dichotomy.  The Serre duals of a column form one column
+too, shifted by k* = k + n(g-1) - d.  ``enumerate`` and ``verify_oracle`` walk
+each column over R(d) = [min(1, 1 + d - n(g-1)), max(n + d, ng)], whose dual
+is R(d*), so a table reads the dual of each column under the key of another of
+its columns and computes each triple's rules, dichotomy and verdict before the
+serre step once.
 
 The rules decide on the integers (n, d, k) of a triple and build no
 ``Fraction``: slope conditions are cross-multiplied (mu < 2 lam - 2 is
@@ -32,10 +37,10 @@ d < 2k - 2n), and the region tests read the triple's point (d/n, k/n) as
 
 ``classify`` keeps no results: a ``Classification`` stores the verdict and
 its evidence and derives the rest.  Every cache is bounded.
-``_direct_column`` holds the direct evidence of at most 2**12 columns, the
-least power of two at which ``verify_oracle(6, 5)`` misses no more often
-than with no bound.  ``_ev`` holds at most 2**14 evidence items, more than
-the 8,436 distinct ones of ``verify_oracle(6, 5)``, and
+``_base_column`` holds the evidence and verdicts of at most 2**11 columns,
+the least power of two at which ``verify_oracle(6, 5)`` misses no more often
+than with no bound (3,730 times).  ``_ev`` holds at most 2**14 evidence
+items, more than the 8,436 distinct ones of ``verify_oracle(6, 5)``, and
 ``_tensor_thresholds`` the twist thresholds of 64 (genus, class) pairs.
 """
 from __future__ import annotations
@@ -518,10 +523,12 @@ def _check_column(g: int, n: int, d: int, c: CurveClass) -> CurveClass:
     return c
 
 
-@lru_cache(maxsize=1 << 12)
-def _direct_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability
-                   ) -> tuple[tuple[Evidence, ...], ...]:
-    """The direct evidence of each triple (n, d, k), lo <= k < hi, in rule order."""
+@lru_cache(maxsize=1 << 11)
+def _base_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability
+                 ) -> tuple[tuple, tuple]:
+    """The evidence of each triple (n, d, k), lo <= k < hi, before the serre
+    step, and its verdict: the direct evidence in rule order, then the
+    dichotomy evidence.  Where the dichotomy errs, both entries are its error."""
     ks = range(lo, hi)
     col: list[list[Evidence]] = [[] for _ in ks]
     for rule in _DIRECT_RULES:
@@ -530,7 +537,16 @@ def _direct_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: S
             while k < stop and k < hi:
                 col[k - lo].append(e)
                 k += 1
-    return tuple(map(tuple, map(dict.fromkeys, col)))
+    evidence, verdicts = [], []
+    for k, ev, dich in zip(ks, map(tuple, map(dict.fromkeys, col)), _dichotomy_column(g, n, d, lo, hi, c, m)):
+        if type(dich) is tuple:
+            ev += dich
+            evidence.append(ev)
+            verdicts.append(_combine(ev, n, d, k, c, m) if ev else Verdict.UNKNOWN)
+        else:
+            evidence.append(dich)
+            verdicts.append(dich)
+    return tuple(evidence), tuple(verdicts)
 
 
 def _combine(evidence: tuple[Evidence, ...], n: int, d: int, k: int, c: CurveClass, m: Stability
@@ -571,46 +587,66 @@ def _dichotomy_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m
 
 
 def _evidence_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
-    """Per k: the direct and dichotomy evidence of (n, d, k), then the serre
-    step; or the error that stops it.
+    """Per k: the verdict and the evidence of (n, d, k), with the serre step;
+    or the error that stops it.
 
     This is the oracle's one duality step, applied at depth one: the dual
-    triple's verdict comes from its own direct and dichotomy evidence, with no
-    serre step of its own, and is carried back across the reflection.
+    triple's verdict before its own serre step is read from the column of d*
+    and carried back across the reflection.
     """
     shift = n * (g - 1) - d
     dual_d = d + 2 * shift
+    evidence, verdicts = _base_column(g, n, d, lo, hi, c, m)
+    dual_evidence, dual_verdicts = _base_column(g, n, dual_d, lo + shift, hi + shift, c, m)
     out = []
-    for k, ev, dich, dual_ev, dual_dich in zip(
-            range(lo + shift, hi + shift),
-            _direct_column(g, n, d, lo, hi, c, m), _dichotomy_column(g, n, d, lo, hi, c, m),
-            _direct_column(g, n, dual_d, lo + shift, hi + shift, c, m),
-            _dichotomy_column(g, n, dual_d, lo + shift, hi + shift, c, m)):
-        if type(dich) is not tuple:
-            out.append(dich)
-            continue
-        if type(dual_dich) is not tuple:
-            out.append(dual_dich)
-            continue
-        dual_ev += dual_dich
-        dual_verdict = _combine(dual_ev, n, dual_d, k, c, m)
-        if type(dual_verdict) is ContradictionError:
-            out.append(dual_verdict)
-            continue
-        if dual_verdict is not Verdict.UNKNOWN:  # carry the first evidence of its kind back
+    for k, ev, verdict, dual_ev, dual_verdict in zip(range(lo, hi), evidence, verdicts,
+                                                     dual_evidence, dual_verdicts):
+        if type(ev) is not tuple:  # the dichotomy erred; then the dual's errs too
+            verdict = ev
+        elif type(dual_verdict) is ContradictionError:
+            verdict = dual_verdict
+        elif dual_verdict is not Verdict.UNKNOWN:  # carry the first evidence of its kind back
             kind = "empty" if dual_verdict is Verdict.EMPTY else "nonempty"
             primary = next(e.rule for e in dual_ev if (e.kind == "empty") == (kind == "empty"))
-            dich += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
-                         else "duality carries nonemptiness across the reflection",
-                         dual=str(Triple(n, dual_d, k)), dual_rule=primary),)
-        out.append(ev + dich)
+            ev += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
+                       else "duality carries nonemptiness across the reflection",
+                       dual=f"(n={n}, d={dual_d}, k={k + shift})", dual_rule=primary),)
+            if verdict is Verdict.UNKNOWN:  # the serre evidence decides it
+                verdict = Verdict.EMPTY if kind == "empty" else Verdict.NON_EMPTY
+            elif type(verdict) is ContradictionError or (verdict is Verdict.EMPTY) != (kind == "empty"):
+                verdict = _combine(ev, n, d, k, c, m)  # a clash, whose error names the serre evidence too
+        # an error is handed out as a copy, since one error object raised again keeps every traceback
+        out.append(ContradictionError(*verdict.args) if type(verdict) is ContradictionError else (verdict, ev))
     return out
 
 
 def _verdict_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
     """Per k: the verdict of (n, d, k), or the error that stops it."""
-    return [ev if type(ev) is not tuple else _combine(ev, n, d, k, c, m)
-            for k, ev in zip(range(lo, hi), _evidence_column(g, n, d, lo, hi, c, m))]
+    return [e if type(e) is ContradictionError else e[0] for e in _evidence_column(g, n, d, lo, hi, c, m)]
+
+
+def _table(g: int, n_max: int, c: CurveClass, m: Stability):
+    """Per column (n, d) of a table, 1 <= n <= n_max and 0 <= d <= 2n(g-1):
+    n, d, what ``classify_column`` gives for k = 1..n+d, and the verdict (or
+    error) of the serre dual (n, d*, k + n(g-1) - d) of each of those triples.
+
+    Each column is classified over R(d) = [min(1, 1 + d - n(g-1)), max(n + d, ng)],
+    which holds its rows and whose serre dual R(d*) is the range of another
+    column of the table.
+    """
+    c, m = _check_column(g, 1, 0, c), Stability(m)  # classify_column's checks of the first column
+    for n in range(1, n_max + 1):
+        top = 2 * n * (g - 1)
+        columns = []
+        for d in range(top + 1):
+            lo = min(1, 1 + d - n * (g - 1))
+            columns.append((lo, _evidence_column(g, n, d, lo, max(n + d, n * g) + 1, c, m)))
+        for d, (lo, column) in enumerate(columns):
+            dual_lo, dual = columns[top - d]
+            first = 1 + n * (g - 1) - d - dual_lo  # the index of the dual of (n, d, 1)
+            rows = [e if type(e) is ContradictionError else Classification(g, Triple(n, d, k), c, m, *e)
+                    for k, e in zip(range(1, n + d + 1), column[1 - lo:])]
+            yield n, d, rows, [e if type(e) is ContradictionError else e[0] for e in dual[first:first + n + d]]
 
 
 def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClass.ARBITRARY,
@@ -623,14 +659,8 @@ def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClas
     c, m = _check_column(g, n, d, c), Stability(m)
     if ks.step != 1:
         raise ValueError(f"section counts must be a range of step 1, got {ks}")
-    out = []
-    for k, ev in zip(ks, _evidence_column(g, n, d, ks.start, ks.stop, c, m)):
-        if type(ev) is tuple:
-            verdict = _combine(ev, n, d, k, c, m)
-            ev = verdict if type(verdict) is ContradictionError else Classification(
-                g, Triple(n, d, k), c, m, verdict, ev)
-        out.append(ev)
-    return out
+    return [e if type(e) is ContradictionError else Classification(g, Triple(n, d, k), c, m, *e)
+            for k, e in zip(ks, _evidence_column(g, n, d, ks.start, ks.stop, c, m))]
 
 
 def classify(g: int, t: Triple, c: CurveClass = CurveClass.ARBITRARY,

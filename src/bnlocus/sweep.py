@@ -36,7 +36,7 @@ from .arith import (
     line_degree_bound_int,
     rho_tilde,
 )
-from .oracle import Classification, ContradictionError, CurveClass, Verdict, classify_column
+from .oracle import _NONEMPTY, Classification, ContradictionError, CurveClass, Verdict, _table
 from .regions import (
     BmnoMode,
     _IntKernel,
@@ -335,40 +335,36 @@ def _oracle(rep: SweepReport, g: int, n_max: int) -> None:
         classes.append(CurveClass.NON_HYPERELLIPTIC)
     for c in classes:
         for m in Stability:
-            for n in range(1, n_max + 1):
-                for d in range(0, 2 * n * (g - 1) + 1):
-                    shift = n * (g - 1) - d  # the dual of (n, d, k) is (n, d + 2 shift, k + shift)
-                    column = classify_column(g, n, d, range(1, n + d + 1), c, m)
-                    duals = classify_column(g, n, d + 2 * shift, range(1 + shift, n + d + 1 + shift), c, m)
-                    empty_seen = False
-                    for k, r, rd in zip(range(1, n + d + 1), column, duals):
-                        t = Triple(n, d, k)
-                        rep.checks_run += 1
-                        if isinstance(r, ContradictionError):
-                            rep.record(f"g={g} {t} {c.value} {m.value}", "consistent evidence", str(r))
-                            continue
-                        if isinstance(rd, ContradictionError):
-                            raise rd
-                        v, vd = r.verdict, rd.verdict
-                        if r.nonempty() and empty_seen:
-                            rep.record(f"g={g} {t} {c.value} {m.value}",
-                                       "monotone in the section count", v.value)
-                        if v is Verdict.EMPTY:
-                            empty_seen = True
-                        if Verdict.EMPTY in (v, vd) and (r.nonempty() or rd.nonempty()):
-                            rep.record(f"g={g} {t} {c.value} {m.value}",
-                                       "duality-consistent verdicts",
-                                       f"{v.value} vs dual {vd.value}")
-                        if c is CurveClass.HYPERELLIPTIC and m is Stability.STABLE and r.nonempty():
-                            mu = t.mu
-                            s = hyper_window(mu)
-                            if s <= g and mu < 2 * s:
-                                if k > hyper_h0_bound(g, s, n, d):
-                                    rep.record(f"g={g} {t}", "below the hyperelliptic bound", v.value)
-                        if m is Stability.STABLE and r.nonempty():
-                            mu, lam = t.mu, t.lam
-                            if 0 < mu <= 2 * g - 2 and mu < 2 * lam - 2:
-                                rep.record(f"g={g} {t} {c.value}", "below the Clifford edge", v.value)
+            for n, d, column, duals in _table(g, n_max, c, m):
+                empty_seen = False
+                for k, r, vd in zip(range(1, n + d + 1), column, duals):
+                    t = Triple(n, d, k)
+                    rep.checks_run += 1
+                    if isinstance(r, ContradictionError):
+                        rep.record(f"g={g} {t} {c.value} {m.value}", "consistent evidence", str(r))
+                        continue
+                    if isinstance(vd, ContradictionError):
+                        raise vd
+                    v = r.verdict
+                    if r.nonempty() and empty_seen:
+                        rep.record(f"g={g} {t} {c.value} {m.value}",
+                                   "monotone in the section count", v.value)
+                    if v is Verdict.EMPTY:
+                        empty_seen = True
+                    if Verdict.EMPTY in (v, vd) and (r.nonempty() or vd in _NONEMPTY):
+                        rep.record(f"g={g} {t} {c.value} {m.value}",
+                                   "duality-consistent verdicts",
+                                   f"{v.value} vs dual {vd.value}")
+                    if c is CurveClass.HYPERELLIPTIC and m is Stability.STABLE and r.nonempty():
+                        mu = t.mu
+                        s = hyper_window(mu)
+                        if s <= g and mu < 2 * s:
+                            if k > hyper_h0_bound(g, s, n, d):
+                                rep.record(f"g={g} {t}", "below the hyperelliptic bound", v.value)
+                    if m is Stability.STABLE and r.nonempty():
+                        mu, lam = t.mu, t.lam
+                        if 0 < mu <= 2 * g - 2 and mu < 2 * lam - 2:
+                            rep.record(f"g={g} {t} {c.value}", "below the Clifford edge", v.value)
 
 
 def verify_oracle(g_max: int = 6, n_max: int = 5, g_lo: int = 2) -> SweepReport:
@@ -393,12 +389,11 @@ def enumerate_classifications(g: int, n_max: int,
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     out = []
-    for n in range(1, n_max + 1):
-        for d in range(0, 2 * n * (g - 1) + 1):
-            for r in classify_column(g, n, d, range(1, n + d + 1), c, m):
-                if isinstance(r, ContradictionError):
-                    raise r
-                out.append(r)
+    for _, _, rows, _ in _table(g, n_max, c, m):
+        for r in rows:
+            if isinstance(r, ContradictionError):
+                raise r
+            out.append(r)
     return out
 
 

@@ -19,6 +19,6 @@ def inject_empty(monkeypatch):
             return [(k, k + 1, ev) for k in ks if Triple(n, d, k) in triples]
 
         monkeypatch.setattr(oracle, "_DIRECT_RULES", oracle._DIRECT_RULES + (rule,))
-    oracle._direct_column.cache_clear()
+    oracle._base_column.cache_clear()
     yield inject
-    oracle._direct_column.cache_clear()
+    oracle._base_column.cache_clear()

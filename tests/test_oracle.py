@@ -1,4 +1,5 @@
 """Classification engine: rule triggers, verdicts, evidence, annotations."""
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from bnlocus.oracle import (
     classify_column,
     h0_max,
 )
+from bnlocus.sweep import enumerate_classifications
 
 ARB = CurveClass.ARBITRARY
 HYP = CurveClass.HYPERELLIPTIC
@@ -238,9 +240,9 @@ def test_h0_max_examples():
 
 
 def test_h0_max_reads_no_column_at_negative_degree():
-    misses = oracle._direct_column.cache_info().misses
+    misses = oracle._base_column.cache_info().misses
     assert h0_max(4, 7, -1) == (0, "yes", "no sections are possible")
-    assert oracle._direct_column.cache_info().misses == misses
+    assert oracle._base_column.cache_info().misses == misses
 
 
 def test_h0_max_bounds_every_nonempty_triple():
@@ -359,6 +361,36 @@ def test_classification_stores_the_verdict_only():
     r = classify(3, Triple(3, 6, 4), ARB)
     assert r.rho == 3 and r.annotations == () and "serre" in r.rules_attempted
     assert classify(3, Triple(2, 1, 1)).rules_attempted == ()
+
+
+def test_enumerate_reaches_the_rules_once_per_triple(monkeypatch):
+    """A table column and its serre dual share one cache key, so every
+    (class, stability, n, d, k) of the tables reaches the direct rules once."""
+    seen = Counter()
+
+    def rule(g, n, d, ks, c, m):
+        seen.update((c, m, n, d, k) for k in ks)
+        return []
+
+    monkeypatch.setattr(oracle, "_DIRECT_RULES", oracle._DIRECT_RULES + (rule,))
+    oracle._base_column.cache_clear()
+    for c in CurveClass:
+        for m in Stability:
+            enumerate_classifications(6, 3, c, m)
+    oracle._base_column.cache_clear()
+    assert seen and max(seen.values()) == 1, [key for key, count in seen.items() if count > 1][:5]
+
+
+def test_a_cached_contradiction_is_raised_as_a_new_error(inject_empty):
+    """The column cache keeps the error of a contradicting triple; each
+    request raises a copy of it, so no traceback grows across requests."""
+    inject_empty(Triple(2, 3, 1))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ContradictionError) as exc:
+            classify(4, Triple(2, 3, 1))
+        errors.append(exc.value)
+    assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
 
 
 def test_oracle_caches_are_bounded():

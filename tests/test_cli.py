@@ -272,6 +272,13 @@ CLI_TEXTS = [
     (_CLASSIFY + " --bogus", "2740585652622837a9ec3c3e62f631c1f76cb2eca5f0602381aa9b74a32229ed"),
     (_CLASSIFY + " --curve nope", "2134c426d8a7f6a90ea69914121cab4dbd40d5b5f5c550e3db5c28eb4bb80a09"),
     ("classify --genus x --rank 2 --degree 2 --sections 2", "61138109a794558d454ddb765dbb28a8ab877458f4dadf9a7edcc6e36775729e"),
+    (_CLASSIFY + " extra", "7448ed0b27a6de5675a02a1dee01790465d16b159521c40eff692669232bf1f2"),
+    (_CLASSIFY + " --bogus=1", "a912bdbab29a944bb9a1619adb078e69054b5f683c5d4b3eb6bd8b059d4d98a4"),
+    ("--bogus=1 " + _CLASSIFY, "a912bdbab29a944bb9a1619adb078e69054b5f683c5d4b3eb6bd8b059d4d98a4"),
+    (_CLASSIFY + " --sem", "2132e01cfdffa80af0484067702c229791597c06843ada1e7f1a1e815d5b49d3"),
+    (_CLASSIFY + " --rank 3", "bd4dcc4304be21ff6e8949095aa3b5186499c49b166471684980c1383f14cba4"),
+    (_CLASSIFY + " --", "d455c29ac4c9b081d1742e623711ed01fb0fa5efbcbb7f846018cebea0bd20f8"),
+    ("classify -- --genus 3 --rank 2 --degree 2 --sections 2", "047d0a4ac2376cc1f869ba94c1a5a7099228dccc564987810c0a65126a98b6b6"),
 ]
 
 
@@ -281,6 +288,34 @@ def test_cli_text_golden(capsys, monkeypatch, argv, digest):
     monkeypatch.setenv("COLUMNS", "80")
     record = json.dumps(list(run(capsys, *argv.split())))
     assert hashlib.sha256(record.encode()).hexdigest() == digest
+
+
+# sha256 of the indented JSON bytes each command writes, recorded while
+# ``_dump_json`` was ``json.dumps(obj, indent=2) + "\n"``: (argv, whether
+# the JSON goes to ``--out`` rather than stdout, digest)
+JSON_TEXTS = [
+    ("polyline --genus 10 --id teixidor", False, "5147681170901db451f8fefcbbc15b327dcbe5cd356bb162d2750a7ad032a9e6"),
+    ("polyline --genus 13 --id bmno", False, "95fbe315bfec84968c7753833632ff68fb29a48bd1179b3739fb6a3b19cff793"),
+    ("polyline --genus 4 --id bmnoh", False, "b2984cf13758380a7141823739848cff8ec2506b3994a7fcc3c9ba64f22b522f"),
+    ("polyline --genus 4 --id tm:1:2", False, "823e86f1f9eee1f055bb98898ae2dc8487876135142b691154248a1b5acfa511"),
+    ("polyline --genus 5 --id bgn", False, "371c2f81f579597a94a6d51c07475d2508ab21d575f3243c6ef9dbf1a8e0c76e"),
+    ("region --genus 10 --id bmno --mu 13/2 --lambda 19/10 --json", False,
+     "ca1c3e326bd23629900154deae6ae17b819aa2e8b52bdbb7b806ce229b4ae41e"),
+    ("region --genus 10 --id bmno --mu 7 --lambda 2 --json", False,
+     "30cddb4407007a1da86015c38bfa29e88ab518c1e7024e99a1bcba9b0bc5ed2a"),
+    ("compare --genus 10", True, "63fe485b73f5e79143eed5dd2e6c41798ce63462a85a504ecb8153895a403918"),
+    ("verify --suite all --genus-max 4 --max-den 2 --max-rank 1", True,
+     "bef928c6bb84b481d27e8e08109c873a364eb4fef8fd3fe92d7553a4726995e2"),
+]
+
+
+@pytest.mark.parametrize("argv, to_file, digest", JSON_TEXTS, ids=[a for a, _, _ in JSON_TEXTS])
+def test_json_text_golden(capsys, tmp_path, argv, to_file, digest):
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv.split(), *(("--out", str(out_file)) if to_file else ()))
+    assert (code, err) == (0, "")
+    data = out_file.read_bytes() if to_file else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 _BOUNDARY = "boundary --genus 10 --fn rho --mu 9 --lambda 3"

@@ -15,7 +15,6 @@ import sys
 
 from .arith import Stability, Triple, bn_curve, format_rat, parse_rat, point
 from .oracle import Classification, ContradictionError, CurveClass, classify
-from .plotting import PlotSpec, write_plot
 from .regions import (
     BmnoMode,
     bmno_boundary,
@@ -27,8 +26,53 @@ from .regions import (
 )
 from . import sweep  # eager: perfbench/tracer.py imports this module, then reads sys.modules["bnlocus.sweep"]
 
+_encode_str = json.encoder.encode_basestring_ascii  # json's own string escaper, in C where built
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(obj, indent=2) + "\n"``, byte for byte.
+
+    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the
+    dicts, lists, strings and ints the commands write are laid out here, and
+    every other value is left to ``json.dumps``.
+    """
+    parts = []
+    _encode(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(value, newline: str, parts: list) -> None:
+    """Append the JSON text of ``value`` to ``parts``; ``newline`` is the line
+    break and indent of the depth ``value`` starts at."""
+    t = type(value)
+    if t is str:
+        parts.append(_encode_str(value))
+    elif t is int:
+        parts.append(int.__repr__(value))
+    elif t is bool:
+        parts.append("true" if value else "false")
+    elif value is None:
+        parts.append("null")
+    elif t is list or t is tuple:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]" if value else "[]")
+    elif t is dict and all(type(k) is str for k in value):
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, item in value.items():
+            parts.append(sep + _encode_str(k) + ": ")
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}" if value else "{}")
+    else:
+        # json writes no raw newline inside a value, so this re-indents it
+        parts.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -114,6 +158,8 @@ def cmd_polyline(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .plotting import PlotSpec, write_plot  # lazy: no other command draws
+
     regions = tuple(parse_region_id(tok) for tok in args.regions.split(",") if tok.strip())
     spec = PlotSpec(
         genus=args.genus,
@@ -272,22 +318,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every ``main`` call shares it, so it must not be modified.  Parsing
     leaves it as it was, and argparse formats each help, usage and error
-    text when it prints it, so sharing changes no output.
+    text when it prints it, so sharing changes no output.  ``commands``
+    maps each subcommand's name to its own parser.
     """
     parser = argparse.ArgumentParser(
         prog="bnlocus",
         description="Exact nonemptiness oracle and region plotter for Brill-Noether loci.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (help_text, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+        parser.commands[name] = sub.add_parser(name, help=help_text)
+        add_args(parser.commands[name])
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list):
+    """``parser.parse_args(argv)``, with the same options, handler and texts.
+
+    When ``argv[0]`` names a subcommand, the top-level parser would scan
+    every token and then hand ``argv[1:]`` to that subcommand's parser, so
+    this hands them over directly; leftover tokens are still reported by
+    the top-level parser, as ``parse_args`` reports them.  The namespace
+    then has no ``command``, which nothing reads.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -1,12 +1,17 @@
 """Command-line frontend: subcommands, formats, exit codes."""
 import hashlib
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bnlocus import cli
 from bnlocus.arith import Triple
-from bnlocus.cli import build_parser, main
+from bnlocus.cli import _dump_json, build_parser, main
 
 
 def run(capsys, *argv):
@@ -358,3 +363,63 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["bnlocus"])
     assert main(None) == 1
     assert "required: command" in capsys.readouterr().err
+
+
+class _Str(str):
+    def __str__(self):
+        return "not this"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not this"
+
+
+class _Dict(dict):
+    pass
+
+
+_text = st.text(st.characters(exclude_categories=()))  # control, non-ASCII and lone surrogates
+_leaves = st.one_of(
+    _text, st.booleans(), st.none(), st.integers(), st.integers(min_value=10**30, max_value=10**80),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.builds(_Str, _text), st.builds(_Int, st.integers()),
+)
+_keys = st.one_of(_text, st.integers(), st.floats(), st.booleans(), st.none(), st.builds(_Str, _text))
+_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple),
+    st.dictionaries(_text, inner), st.dictionaries(_keys, inner),
+    st.dictionaries(_text, inner).map(_Dict),
+), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values)
+def test_dump_json_matches_json_dumps(value):
+    assert _dump_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, [1, {"a": object()}], {"a": ({"b": b"x"},)}, {(1, 2): 3}, {"a": {(1, 2): 3}}, [_Dict(a=[{1}])],
+])
+def test_dump_json_raises_what_json_raises(value):
+    with pytest.raises(TypeError) as ours:
+        _dump_json(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_unserialisable_output_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "polyline_json_dict", lambda g, rid: {"segments": [{1}]})
+    assert run(capsys, "polyline", "--genus", "4", "--id", "p") == (
+        1, "", "error: Object of type set is not JSON serializable\n")
+
+
+def test_import_leaves_plotting_unloaded():
+    # plot is the one command that draws, so it imports the plotting module itself
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import bnlocus.cli; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parents[1] / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "bnlocus.sweep" in proc.stdout and "bnlocus.plotting" not in proc.stdout

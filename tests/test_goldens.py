@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from bnlocus.arith import BNPoint, Stability, Triple
-from bnlocus.oracle import ContradictionError, CurveClass, classify, h0_max
+from bnlocus.oracle import ContradictionError, CurveClass, _table, classify, h0_max
 from bnlocus.plotting import PlotSpec, render_svg
 from bnlocus.regions import (
     BmnoMode,
@@ -199,6 +199,31 @@ def test_enumerate_golden(g):
     lines = [classification_csv(enumerate_classifications(g, 3, c, m))
              for c in CurveClass if g > 2 or c is not CurveClass.NON_HYPERELLIPTIC for m in Stability]
     assert _digest(lines) == ENUMERATE[g]
+
+
+TABLE_EVIDENCE = {
+    2: "62acad914fe3fff387251398dccf5a8a81938930acf095c293249c111632639d",
+    3: "37fd9385f33d05516a011c5146a4ecedc42dfe136e588712118bf653e80b5895",
+    4: "1b7e306dc21e3a8cd9adb3dea506210c4c9a90681908346375eb8e9bc0360a49",
+    5: "0b7b900b612dd6fd192ffbd3ebbad9f3af27dcb0b3e23c45e43c2f1cbc26c8f0",
+    6: "7978c3032960021d181c69bd92f4e66fc42e6c67228753aed163fafb604c2a9b",
+    7: "787d4f27b5344011a1c4f60812b8809e085b222499b06b759531c66a7aaf9187",
+}
+
+
+@pytest.mark.parametrize("g", sorted(TABLE_EVIDENCE))
+def test_table_evidence_golden(g):
+    """Every enumerate row at rank <= 3 with all of its evidence, the serre
+    item's dual and dual rule included, and the verdict of each row's Serre
+    dual as the table reads it, for every curve class valid at g and both
+    stabilities."""
+    lines = []
+    for c in CurveClass:
+        if g > 2 or c is not CurveClass.NON_HYPERELLIPTIC:
+            for m in Stability:
+                lines += [json.dumps(r.to_json_dict()) for r in enumerate_classifications(g, 3, c, m)]
+                lines += [f"{n} {d} " + " ".join(v.value for v in duals) for n, d, _, duals in _table(g, 3, c, m)]
+    assert _digest(lines) == TABLE_EVIDENCE[g]
 
 
 def test_h0_max_golden():

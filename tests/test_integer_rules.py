@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bnlocus.arith import Stability, Triple, hyper_window, serre_dual_triple
 from bnlocus.oracle import ContradictionError, CurveClass, classify, classify_column
 from bnlocus.regions import _IntScale, hyper_strip, in_teixidor
+from bnlocus.sweep import enumerate_classifications, verify_oracle
 
 
 def _teixidor_at_rank_scale(g: int, t: Triple, m: Stability) -> bool:
@@ -119,12 +120,15 @@ def test_contradiction_message(inject_empty, where, c, expected):
 
 
 # ``only`` puts the clash on one side of an arbitrary curve's dichotomy
-@pytest.mark.parametrize("c, only", [
+CLASH_CASES = pytest.mark.parametrize("c, only", [
     (CurveClass.GENERIC, None),
     (CurveClass.ARBITRARY, None),
     (CurveClass.ARBITRARY, CurveClass.HYPERELLIPTIC),
     (CurveClass.ARBITRARY, CurveClass.NON_HYPERELLIPTIC),
 ], ids=["CurveClass.GENERIC", "CurveClass.ARBITRARY", "hyperelliptic-side", "nonhyperelliptic-side"])
+
+
+@CLASH_CASES
 def test_column_reports_the_same_contradictions(inject_empty, c, only):
     """A column holds, at each k, the error classify raises there."""
     g = 4
@@ -139,3 +143,27 @@ def test_column_reports_the_same_contradictions(inject_empty, c, only):
             except ContradictionError as exc:
                 one_k.append(str(exc))
         assert column == one_k, d
+
+
+@CLASH_CASES
+def test_table_reports_the_same_contradictions(inject_empty, c, only):
+    """enumerate raises, and the oracle suite records, the text classify
+    raises at each clashing row of the table."""
+    g = 4
+    inject_empty(Triple(1, 2, 1), Triple(1, 4, 3), only=only)
+    texts = []  # (class, stability, triple, text) in the oracle suite's order
+    for cc in (CurveClass.ARBITRARY, CurveClass.HYPERELLIPTIC, CurveClass.GENERIC, CurveClass.NON_HYPERELLIPTIC):
+        for m in Stability:
+            for d in range(0, 2 * (g - 1) + 1):
+                for k in range(1, d + 2):
+                    try:
+                        classify(g, Triple(1, d, k), cc, m)
+                    except ContradictionError as exc:
+                        texts.append((cc, m, Triple(1, d, k), str(exc)))
+    first = next(text for cc, m, _, text in texts if cc is c and m is Stability.STABLE)
+    with pytest.raises(ContradictionError) as info:
+        enumerate_classifications(g, 1, c)
+    assert str(info.value) == first
+    report = verify_oracle(g, 1, g)
+    recorded = [(f.input, f.observed) for f in report.failures if f.expected == "consistent evidence"]
+    assert recorded == [(f"g={g} {t} {cc.value} {m.value}", text) for cc, m, t, text in texts]

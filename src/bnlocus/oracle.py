@@ -17,16 +17,16 @@ own.
 
 Duality is applied at depth exactly one (it is an involution), and for an
 arbitrary curve a dichotomy step may combine the hyperelliptic and
-non-hyperelliptic classifications when they agree.  ``_base_column`` gathers
-the direct and dichotomy evidence of each triple with its verdict before the
-serre step, and ``_evidence_column`` adds the serre step by reading that layer
-at d and at the dual degree d* = 2n(g-1) - d, both for the requested class and
-for each side of the dichotomy.  The Serre duals of a column form one column
-too, shifted by k* = k + n(g-1) - d.  ``enumerate`` and ``verify_oracle`` walk
-each column over R(d) = [min(1, 1 + d - n(g-1)), max(n + d, ng)], whose dual
-is R(d*), so a table reads the dual of each column under the key of another of
-its columns and computes each triple's rules, dichotomy and verdict before the
-serre step once.
+non-hyperelliptic classifications when they agree.  ``_base_column`` keeps a
+column's rule runs, the dichotomy's last, and each triple's evidence kinds as
+a bit set.  ``_serre_column`` reads that layer at d and at the dual degree
+d* = 2n(g-1) - d, reads every triple's verdict through one 8-entry table, and
+builds evidence only for the rows its caller returns, in one pass over the
+runs.  The Serre duals of a column form one column too, shifted by
+k* = k + n(g-1) - d.  ``enumerate`` and ``verify_oracle`` walk each column over
+R(d) = [min(1, 1 + d - n(g-1)), max(n + d, ng)], whose dual is R(d*), so a
+table reads the dual of each column under the key of another of its columns
+and runs each triple's rules and dichotomy once.
 
 The rules decide on the integers (n, d, k) of a triple and build no
 ``Fraction``: slope conditions are cross-multiplied (mu < 2 lam - 2 is
@@ -37,10 +37,10 @@ d < 2k - 2n), and the region tests read the triple's point (d/n, k/n) as
 
 ``classify`` keeps no results: a ``Classification`` stores the verdict and
 its evidence and derives the rest.  Every cache is bounded.
-``_base_column`` holds the evidence and verdicts of at most 2**11 columns,
+``_base_column`` holds the runs and evidence kinds of at most 2**11 columns,
 the least power of two at which ``verify_oracle(6, 5)`` misses no more often
 than with no bound (3,730 times).  ``_ev`` holds at most 2**14 evidence
-items, more than the 8,436 distinct ones of ``verify_oracle(6, 5)``, and
+items, more than the 6,516 distinct ones of ``verify_oracle(6, 5)``, and
 ``_tensor_thresholds`` the twist thresholds of 64 (genus, class) pairs.
 """
 from __future__ import annotations
@@ -84,7 +84,7 @@ class ContradictionError(RuntimeError):
 @dataclass(frozen=True)
 class Evidence:
     rule: str
-    kind: str  # "wholespace" | "nonempty" | "empty"
+    kind: str  # "wholespace" | "nonempty" | "empty"; _ev rejects any other
     citation: str
     params: tuple[tuple[str, int | str], ...] = ()
 
@@ -143,6 +143,8 @@ class Classification:
 
 @lru_cache(maxsize=1 << 14)  # each distinct item is built once; it is immutable
 def _ev(rule: str, kind: str, citation: str, **params) -> Evidence:
+    if kind not in _KIND_BITS:
+        raise ValueError(f"unknown evidence kind {kind!r}")
     return Evidence(rule, kind, citation, tuple(sorted(params.items())))
 
 
@@ -469,10 +471,7 @@ def _rule_hyper_gap(g, n, d, ks, c, m):
 
 
 def _rule_known_points(g, n, d, ks, c, m):
-    out = []
-    for k, cite in _known_points(g, c, n, d).items():
-        out.append((k, k + 1, _ev("known_point", "nonempty", cite)))
-    return out
+    return [(k, k + 1, _ev("known_point", "nonempty", cite)) for k, cite in _known_points(g, c, n, d).items()]
 
 
 _DIRECT_RULES = (
@@ -523,106 +522,106 @@ def _check_column(g: int, n: int, d: int, c: CurveClass) -> CurveClass:
     return c
 
 
+# the bit of each evidence kind; per set of kinds, its verdict and the bit it gives a serre step (None: a clash)
+_KIND_BITS = {"wholespace": 1, "nonempty": 2, "empty": 4}
+_VERDICT_OF_KINDS = (Verdict.UNKNOWN, Verdict.WHOLE_SPACE, Verdict.NON_EMPTY, Verdict.WHOLE_SPACE,
+                     Verdict.EMPTY, None, None, None)
+_SERRE_BIT = (0, 2, 2, 2, 4, None, None, None)
+
+
 @lru_cache(maxsize=1 << 11)
-def _base_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability
-                 ) -> tuple[tuple, tuple]:
-    """The evidence of each triple (n, d, k), lo <= k < hi, before the serre
-    step, and its verdict: the direct evidence in rule order, then the
-    dichotomy evidence.  Where the dichotomy errs, both entries are its error."""
-    ks = range(lo, hi)
-    col: list[list[Evidence]] = [[] for _ in ks]
-    for rule in _DIRECT_RULES:
+def _base_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> tuple[tuple, tuple]:
+    """Before the serre step: the runs (first k, past-the-end k, Evidence) of
+    the direct rules in rule order, then of the curve dichotomy, clipped to
+    lo <= k < hi; and for each triple (n, d, k) the bit set of its evidence
+    kinds, or the error of the dichotomy."""
+    runs, kinds, ks = [], [0] * (hi - lo), range(lo, hi)
+    for rule in _DIRECT_RULES + (_dichotomy_runs,):
         for first, stop, e in rule(g, n, d, ks, c, m):
-            k = first if first > lo else lo
-            while k < stop and k < hi:
-                col[k - lo].append(e)
-                k += 1
-    evidence, verdicts = [], []
-    for k, ev, dich in zip(ks, map(tuple, map(dict.fromkeys, col)), _dichotomy_column(g, n, d, lo, hi, c, m)):
-        if type(dich) is tuple:
-            ev += dich
-            evidence.append(ev)
-            verdicts.append(_combine(ev, n, d, k, c, m) if ev else Verdict.UNKNOWN)
-        else:
-            evidence.append(dich)
-            verdicts.append(dich)
-    return tuple(evidence), tuple(verdicts)
+            first, stop = first if first > lo else lo, stop if stop < hi else hi
+            if type(e) is ContradictionError:
+                kinds[first - lo] = e
+            elif first < stop:
+                runs.append((first, stop, e))
+                bit = _KIND_BITS[e.kind]
+                for i in range(first - lo, stop - lo):
+                    kinds[i] |= bit
+    return tuple(runs), tuple(kinds)
 
 
-def _combine(evidence: tuple[Evidence, ...], n: int, d: int, k: int, c: CurveClass, m: Stability
-             ) -> Verdict | ContradictionError:
-    """The verdict of the evidence gathered for (n, d, k) on class c,
-    stability m, or the error that names the clash."""
-    kinds = {e.kind for e in evidence}
-    if "empty" in kinds and (kinds & {"nonempty", "wholespace"}):
-        detail = "; ".join(f"{e.rule}:{e.kind}" for e in evidence)
-        return ContradictionError(f"contradictory evidence at {Triple(n, d, k)} [{c.value},{m.value}]: {detail}")
-    if "wholespace" in kinds:
-        return Verdict.WHOLE_SPACE
-    if "nonempty" in kinds:
-        return Verdict.NON_EMPTY
-    if "empty" in kinds:
-        return Verdict.EMPTY
-    return Verdict.UNKNOWN
-
-
-def _dichotomy_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
-    """Per k: the curve-dichotomy evidence, or the error one side raised."""
+def _dichotomy_runs(g: int, n: int, d: int, ks: range, c: CurveClass, m: Stability) -> list:
+    """The curve dichotomy as a rule: a run of one k where both sides agree,
+    and where a side errs, a run of one k with its error for evidence."""
     if c is not CurveClass.ARBITRARY or g < 3:
-        return [()] * (hi - lo)
+        return []
     cite = "every curve is hyperelliptic or not, and both cases agree"
     out = []
-    for hyp, non in zip(_verdict_column(g, n, d, lo, hi, CurveClass.HYPERELLIPTIC, m),
-                        _verdict_column(g, n, d, lo, hi, CurveClass.NON_HYPERELLIPTIC, m)):
-        if type(hyp) is ContradictionError:
-            out.append(hyp)
-        elif type(non) is ContradictionError:
-            out.append(non)
+    for k, hyp, non in zip(ks, _serre_column(g, n, d, ks.start, ks.stop, CurveClass.HYPERELLIPTIC, m)[0],
+                           _serre_column(g, n, d, ks.start, ks.stop, CurveClass.NON_HYPERELLIPTIC, m)[0]):
+        if type(hyp) is ContradictionError or type(non) is ContradictionError:
+            out.append((k, k + 1, hyp if type(hyp) is ContradictionError else non))
         elif (hyp is Verdict.EMPTY and non is Verdict.EMPTY) or (hyp in _NONEMPTY and non in _NONEMPTY):
-            out.append((_ev("curve_dichotomy", "empty" if hyp is Verdict.EMPTY else "nonempty", cite,
-                            hyperelliptic=hyp.value, non_hyperelliptic=non.value),))
-        else:
-            out.append(())
+            out.append((k, k + 1, _ev("curve_dichotomy", "empty" if hyp is Verdict.EMPTY else "nonempty", cite,
+                                      hyperelliptic=hyp.value, non_hyperelliptic=non.value)))
     return out
 
 
-def _evidence_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
-    """Per k: the verdict and the evidence of (n, d, k), with the serre step;
-    or the error that stops it.
+def _evidence(runs: tuple, ks: range) -> list[tuple[Evidence, ...]]:
+    """The evidence of each k in ks before the serre step, in one pass over the runs."""
+    cells, lo, hi = [[] for _ in ks], ks.start, ks.stop
+    for first, stop, e in runs:
+        if first < hi and stop > lo:
+            for i in range((first if first > lo else lo) - lo, (stop if stop < hi else hi) - lo):
+                cells[i].append(e)
+    return [tuple(dict.fromkeys(cell)) for cell in cells]
 
-    This is the oracle's one duality step, applied at depth one: the dual
-    triple's verdict before its own serre step is read from the column of d*
-    and carried back across the reflection.
+
+def _combine(evidence: tuple, n: int, d: int, k: int, c: CurveClass, m: Stability) -> ContradictionError:
+    """The error that names the clash of the evidence of (n, d, k) on class c, stability m."""
+    detail = "; ".join(f"{e.rule}:{e.kind}" for e in evidence)
+    return ContradictionError(f"contradictory evidence at {Triple(n, d, k)} [{c.value},{m.value}]: {detail}")
+
+
+def _serre_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability,
+                  rows: range = range(0)) -> tuple[list, list]:
+    """The verdict of each (n, d, k), lo <= k < hi, or the error that stops
+    it; and for each k in ``rows``, a subrange, its verdict and evidence.
+
+    This is the oracle's one duality step, applied at depth one: the kinds of
+    the dual triple's evidence before its own serre step are read from the
+    column of d* and carried back across the reflection, with the first of
+    the dual's evidence of that kind on the rows.
     """
     shift = n * (g - 1) - d
-    dual_d = d + 2 * shift
-    evidence, verdicts = _base_column(g, n, d, lo, hi, c, m)
-    dual_evidence, dual_verdicts = _base_column(g, n, dual_d, lo + shift, hi + shift, c, m)
+    dual_d, dual_lo = d + 2 * shift, lo + shift
+    runs, kinds = _base_column(g, n, d, lo, hi, c, m)
+    dual_runs, dual_kinds = _base_column(g, n, dual_d, dual_lo, hi + shift, c, m)
+
+    def evidence(ks: range) -> list[tuple[Evidence, ...]]:  # with the serre evidence where the dual decides
+        out = _evidence(runs, ks)
+        duals = _evidence(dual_runs, range(ks.start + shift, ks.stop + shift))
+        for i, (k, dual_ev, bits) in enumerate(zip(ks, duals, dual_kinds[ks.start - lo:])):
+            if type(bits) is int and _SERRE_BIT[bits]:
+                kind = "empty" if bits == 4 else "nonempty"
+                primary = next(e.rule for e in dual_ev if (e.kind == "empty") == (kind == "empty"))
+                out[i] += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
+                               else "duality carries nonemptiness across the reflection",
+                               dual=f"(n={n}, d={dual_d}, k={k + shift})", dual_rule=primary),)
+        return out
+
     out = []
-    for k, ev, verdict, dual_ev, dual_verdict in zip(range(lo, hi), evidence, verdicts,
-                                                     dual_evidence, dual_verdicts):
-        if type(ev) is not tuple:  # the dichotomy erred; then the dual's errs too
-            verdict = ev
-        elif type(dual_verdict) is ContradictionError:
-            verdict = dual_verdict
-        elif dual_verdict is not Verdict.UNKNOWN:  # carry the first evidence of its kind back
-            kind = "empty" if dual_verdict is Verdict.EMPTY else "nonempty"
-            primary = next(e.rule for e in dual_ev if (e.kind == "empty") == (kind == "empty"))
-            ev += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
-                       else "duality carries nonemptiness across the reflection",
-                       dual=f"(n={n}, d={dual_d}, k={k + shift})", dual_rule=primary),)
-            if verdict is Verdict.UNKNOWN:  # the serre evidence decides it
-                verdict = Verdict.EMPTY if kind == "empty" else Verdict.NON_EMPTY
-            elif type(verdict) is ContradictionError or (verdict is Verdict.EMPTY) != (kind == "empty"):
-                verdict = _combine(ev, n, d, k, c, m)  # a clash, whose error names the serre evidence too
+    for k, bits, dual_bits in zip(range(lo, hi), kinds, dual_kinds):
         # an error is handed out as a copy, since one error object raised again keeps every traceback
-        out.append(ContradictionError(*verdict.args) if type(verdict) is ContradictionError else (verdict, ev))
-    return out
-
-
-def _verdict_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Stability) -> list:
-    """Per k: the verdict of (n, d, k), or the error that stops it."""
-    return [e if type(e) is ContradictionError else e[0] for e in _evidence_column(g, n, d, lo, hi, c, m)]
+        if type(bits) is not int or type(dual_bits) is not int:  # a dichotomy erred, ours first
+            v = ContradictionError(*(dual_bits if type(bits) is int else bits).args)
+        elif _SERRE_BIT[dual_bits] is None:  # the dual's evidence clashes
+            v = _combine(_evidence(dual_runs, range(k + shift, k + shift + 1))[0], n, dual_d, k + shift, c, m)
+        else:  # a clash names the serre evidence too, where the dual decides
+            v = (_VERDICT_OF_KINDS[bits | _SERRE_BIT[dual_bits]]
+                 or _combine(evidence(range(k, k + 1))[0], n, d, k, c, m))
+        out.append(v)
+    return out, [v if type(v) is ContradictionError else (v, ev)
+                 for v, ev in zip(out[rows.start - lo:], evidence(rows) if rows else ())]
 
 
 def _table(g: int, n_max: int, c: CurveClass, m: Stability):
@@ -640,13 +639,12 @@ def _table(g: int, n_max: int, c: CurveClass, m: Stability):
         columns = []
         for d in range(top + 1):
             lo = min(1, 1 + d - n * (g - 1))
-            columns.append((lo, _evidence_column(g, n, d, lo, max(n + d, n * g) + 1, c, m)))
-        for d, (lo, column) in enumerate(columns):
-            dual_lo, dual = columns[top - d]
+            columns.append((lo, *_serre_column(g, n, d, lo, max(n + d, n * g) + 1, c, m, range(1, n + d + 1))))
+        for d, (_, _, rows) in enumerate(columns):
+            dual_lo, dual, _ = columns[top - d]
             first = 1 + n * (g - 1) - d - dual_lo  # the index of the dual of (n, d, 1)
-            rows = [e if type(e) is ContradictionError else Classification(g, Triple(n, d, k), c, m, *e)
-                    for k, e in zip(range(1, n + d + 1), column[1 - lo:])]
-            yield n, d, rows, [e if type(e) is ContradictionError else e[0] for e in dual[first:first + n + d]]
+            yield n, d, [e if type(e) is ContradictionError else Classification(g, Triple(n, d, k), c, m, *e)
+                         for k, e in zip(range(1, n + d + 1), rows)], dual[first:first + n + d]
 
 
 def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClass.ARBITRARY,
@@ -660,7 +658,7 @@ def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClas
     if ks.step != 1:
         raise ValueError(f"section counts must be a range of step 1, got {ks}")
     return [e if type(e) is ContradictionError else Classification(g, Triple(n, d, k), c, m, *e)
-            for k, e in zip(ks, _evidence_column(g, n, d, ks.start, ks.stop, c, m))]
+            for k, e in zip(ks, _serre_column(g, n, d, ks.start, ks.stop, c, m, ks)[1])]
 
 
 def classify(g: int, t: Triple, c: CurveClass = CurveClass.ARBITRARY,

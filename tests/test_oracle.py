@@ -393,6 +393,27 @@ def test_a_cached_contradiction_is_raised_as_a_new_error(inject_empty):
     assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
 
 
+def test_unknown_evidence_kind_is_rejected(monkeypatch):
+    """A misspelt kind is an error where the evidence is made, not a silent
+    Unknown: the verdict reads only the three kinds."""
+    for kind in ("non_empty", "Empty", "unknown", ""):
+        with pytest.raises(ValueError, match="unknown evidence kind"):
+            oracle._ev("typo", kind, "a kind the verdict cannot read")
+    assert [oracle._ev("x", kind, "c").kind for kind in ("wholespace", "nonempty", "empty")] == [
+        "wholespace", "nonempty", "empty"]
+
+    def rule(g, n, d, ks, c, m):
+        return [(k, k + 1, oracle._ev("typo", "non_empty", "a misspelt kind")) for k in ks]
+
+    monkeypatch.setattr(oracle, "_DIRECT_RULES", oracle._DIRECT_RULES + (rule,))
+    oracle._base_column.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="'non_empty'"):
+            classify(4, Triple(2, 9, 5), GEN)
+    finally:
+        oracle._base_column.cache_clear()
+
+
 def test_oracle_caches_are_bounded():
     """Every lru_cache of the oracle and of the command line has a maxsize."""
     for module in (oracle, cli):

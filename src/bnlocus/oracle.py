@@ -471,7 +471,10 @@ def _rule_hyper_gap(g, n, d, ks, c, m):
 
 
 def _rule_known_points(g, n, d, ks, c, m):
-    return [(k, k + 1, _ev("known_point", "nonempty", cite)) for k, cite in _known_points(g, c, n, d).items()]
+    out = []
+    for k, cite in _known_points(g, c, n, d).items():
+        out.append((k, k + 1, _ev("known_point", "nonempty", cite)))
+    return out
 
 
 _DIRECT_RULES = (
@@ -550,8 +553,7 @@ def _base_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Sta
 
 
 def _dichotomy_runs(g: int, n: int, d: int, ks: range, c: CurveClass, m: Stability) -> list:
-    """The curve dichotomy as a rule: a run of one k where both sides agree,
-    and where a side errs, a run of one k with its error for evidence."""
+    """The curve dichotomy as a rule: one-k runs where both sides agree, or with the error of a side."""
     if c is not CurveClass.ARBITRARY or g < 3:
         return []
     cite = "every curve is hyperelliptic or not, and both cases agree"

@@ -102,27 +102,31 @@ def _membership_row(g, p):
     return "".join("1" if b else "0" for b in bits)
 
 
+# genus -> (grid denominator, digest); genus 9 has several chain levels,
+# reflected tiles and threshold columns, so a coarser grid suffices there
 MEMBERSHIP = {
-    3: "6b3d3e2e6c62bd7ada4aaa482cd466dd5cfee95f4076be81e29d220de6ce68fe",
-    4: "7e60f3dab00c39c48b6d4ea42a16595a0e356e77a97de265578050ce175a174b",
-    5: "69287da601b77a9c74bc1977e4eb51c8c74c68314fb44653b1d4b2991c2fe096",
+    3: (8, "6b3d3e2e6c62bd7ada4aaa482cd466dd5cfee95f4076be81e29d220de6ce68fe"),
+    4: (8, "7e60f3dab00c39c48b6d4ea42a16595a0e356e77a97de265578050ce175a174b"),
+    5: (8, "69287da601b77a9c74bc1977e4eb51c8c74c68314fb44653b1d4b2991c2fe096"),
+    9: (4, "cbeee732ec0dbb88f74e52a3f106237d3ca0bdacae4d914356505629b8c65002"),
 }
 
 
 @pytest.mark.parametrize("g", sorted(MEMBERSHIP))
 def test_membership_bitmap_golden(g):
-    """Denominator-8 grid over the pentagon and a margin, with heights both on
-    the grid and 1/(24g) off it, where the strict and weak edges differ."""
+    """Grid of denominator q over the pentagon and a margin, with heights both
+    on the grid and 1/(24g) off it, where the strict and weak edges differ."""
+    q, digest = MEMBERSHIP[g]
     off = Fraction(1, 24 * g)
     lines = []
-    for i in range(-2, 16 * (g - 1) + 3):
-        mu = Fraction(i, 8)
+    for i in range(-2, 2 * q * (g - 1) + 3):
+        mu = Fraction(i, q)
         row = []
-        for j in range(-1, 8 * g + 3):
-            for lam in (Fraction(j, 8), Fraction(j, 8) + off):
+        for j in range(-1, q * g + 3):
+            for lam in (Fraction(j, q), Fraction(j, q) + off):
                 row.append(_membership_row(g, BNPoint(mu, lam)))
         lines.append(" ".join(row))
-    assert _digest(lines) == MEMBERSHIP[g]
+    assert _digest(lines) == digest
 
 
 def _window(g: int, n: int):

@@ -9,7 +9,10 @@ not a decision procedure for the whole plane.
 
 The oracle works on one column (g, n, d) at a time.  Each rule takes a
 range of section counts k and returns the runs of k where it fires, so a
-threshold in k is found once and its evidence built once.
+threshold in k is found once and its evidence built once.  At one k, no
+rule (the dichotomy included) gives the same ``Evidence`` twice, so a row's
+evidence is the items of the runs that hold it, in rule order, with no
+repeat.
 ``classify_column`` classifies a whole range, and ``classify`` is a column of
 one k.  ``h0_max`` reads one stable column up to the Clifford ceiling (or chi
 above slope 2g-2; none at negative degree) and states no section bound of its
@@ -31,9 +34,9 @@ and runs each triple's rules and dichotomy once.
 The rules decide on the integers (n, d, k) of a triple and build no
 ``Fraction``: slope conditions are cross-multiplied (mu < 2 lam - 2 is
 d < 2k - 2n), and the region tests read the triple's point (d/n, k/n) as
-(d, k) at scale n.  They are held to the ``Fraction`` functions
-``in_teixidor``, ``hyper_strip`` at scale 1, ``hyper_window`` and
-``rho_tilde`` by a differential test.
+(d, k) at scale n, through the bodies that ``in_teixidor``, ``hyper_strip``
+and ``hyper_window`` run at scale 1; a differential test holds the two
+scales together.
 
 ``classify`` keeps no results: a ``Classification`` stores the verdict and
 its evidence and derives the rest.  Every cache is bounded.
@@ -569,13 +572,14 @@ def _dichotomy_runs(g: int, n: int, d: int, ks: range, c: CurveClass, m: Stabili
 
 
 def _evidence(runs: tuple, ks: range) -> list[tuple[Evidence, ...]]:
-    """The evidence of each k in ks before the serre step, in one pass over the runs."""
+    """The evidence of each k in ks before the serre step, in one pass over
+    the runs; by the rules' contract no item comes twice."""
     cells, lo, hi = [[] for _ in ks], ks.start, ks.stop
     for first, stop, e in runs:
         if first < hi and stop > lo:
             for i in range((first if first > lo else lo) - lo, (stop if stop < hi else hi) - lo):
                 cells[i].append(e)
-    return [tuple(dict.fromkeys(cell)) for cell in cells]
+    return [tuple(cell) for cell in cells]
 
 
 def _combine(evidence: tuple, n: int, d: int, k: int, c: CurveClass, m: Stability) -> ContradictionError:

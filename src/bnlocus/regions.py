@@ -8,16 +8,24 @@ region (boundary ``t``) and the hyperelliptic region (boundary ``h``).
 Each shape is stated once.  :func:`bmno_tiles` is the one walk over the
 rank-one thresholds; each of its tiles is a T- or U-image of BGN or M, the
 seesaw ``f`` is the tiles' top lines and their reflection, and the chain
-levels and threshold columns come from the same walk; :func:`in_bmno` reads
-only those three, in every mode.  :func:`hyper_strip` is the one statement
-of the hyperelliptic strips, which the oracle also reads.
+levels and threshold columns come from the same walk; the assembled region
+reads only those three, in every mode.  :func:`hyper_strip` is the one
+statement of the hyperelliptic strips, which the oracle also reads.
+
+Each membership test is stated once, at a scale: a point (mu, lam) is read
+as (M, L) = (mu*D, lam*D).  The private kernel (:class:`_IntKernel`, with
+its Teixidor test in :class:`_IntScale`) holds the one body of the assembled,
+Teixidor and hyperelliptic regions and of the four tile shapes; the same
+code runs on integers at the sweeps' common denominator D, on the oracle's
+triples at D = n, and on ``Fraction`` points at D = 1, which is all the
+public functions do after checking their input.  :func:`hyper_strip` and
+:func:`hyper_window` take a scale the same way.  The tile-union, preimage,
+duality and membership-bitmap tests are the independent checks of these
+bodies.
 
 All memberships follow the strict/non-strict inequalities of the source
 criteria exactly, including the isolated excluded corner points.  Everything
 is a pure function of immutable values; region data is cached per genus.
-A private scaled-integer kernel answers the same membership questions on
-points scaled to a common denominator, for the verification sweeps; its
-Teixidor test (:class:`_IntScale`) also serves the oracle at scale n.
 """
 from __future__ import annotations
 
@@ -38,7 +46,6 @@ from .arith import (
     line_degree_bound_int,
     line_degree_bound_strict,
     rho_tilde,
-    serre_dual_point,
 )
 
 
@@ -234,26 +241,14 @@ def in_translated_bgn(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the BGN trapezium under T: d' < mu <= d'+1,
     0 < lam <= (s/g)(mu-d'-1)+s, minus the corner (d'+1, s)."""
     check_genus(g, 3)
-    if s < 1:
-        raise ValueError(f"section multiplier must be >= 1, got {s}")
-    mu, lam = _as_point(p)
-    if not (d_shift < mu <= d_shift + 1):
-        return False
-    if not (0 < lam <= Fraction(s, g) * (mu - d_shift - 1) + s):
-        return False
-    return not (mu == d_shift + 1 and lam == s)
+    return _unit_kernel(g).shifted_tile("bgn", d_shift, s).contains(*_as_point(p))
 
 
 def in_translated_m(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the M trapezium under T: open strip d'+1 < mu < d'+2 under
     the same top line, plus the sliver {(d'+2, lam): 0 < lam < s}."""
     check_genus(g, 3)
-    if s < 1:
-        raise ValueError(f"section multiplier must be >= 1, got {s}")
-    mu, lam = _as_point(p)
-    if d_shift + 1 < mu < d_shift + 2 and 0 < lam <= Fraction(s, g) * (mu - d_shift - 1) + s:
-        return True
-    return mu == d_shift + 2 and 0 < lam < s
+    return _unit_kernel(g).shifted_tile("m", d_shift, s).contains(*_as_point(p))
 
 
 def u_params(g: int, d_shift: int, s: int) -> tuple[int, int]:
@@ -265,28 +260,14 @@ def in_u_bgn_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected BGN tile clipped to the left half: d1 <= mu < d1+1,
     0 < lam <= (1-s/g)(mu-d1)+s1, minus the anchor point (d1, s1)."""
     check_genus(g, 3)
-    if s < 1:
-        raise ValueError(f"section multiplier must be >= 1, got {s}")
-    d1, s1 = u_params(g, d_shift, s)
-    mu, lam = _as_point(p)
-    if not (d1 <= mu < d1 + 1):
-        return False
-    if not (0 < lam <= (1 - Fraction(s, g)) * (mu - d1) + s1):
-        return False
-    return not (mu == d1 and lam == s1)
+    return _unit_kernel(g).reflected_tile("bgn", d_shift, s).contains(*_as_point(p))
 
 
 def in_u_m_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected M tile clipped to the left half: open strip d1-1 < mu < d1
     under the same top, plus the sliver {(d1-1, lam): 0 < lam < s1-1}."""
     check_genus(g, 3)
-    if s < 1:
-        raise ValueError(f"section multiplier must be >= 1, got {s}")
-    d1, s1 = u_params(g, d_shift, s)
-    mu, lam = _as_point(p)
-    if d1 - 1 < mu < d1 and 0 < lam <= (1 - Fraction(s, g)) * (mu - d1) + s1:
-        return True
-    return mu == d1 - 1 and 0 < lam < s1 - 1
+    return _unit_kernel(g).reflected_tile("m", d_shift, s).contains(*_as_point(p))
 
 
 # ---------------------------------------------------------------------------
@@ -381,40 +362,7 @@ def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
     """
     check_genus(g, 3)
     mode = BmnoMode(mode)
-    p = _as_point(p)
-    sp = serre_dual_point(g, p)
-    # the region is (left polygon) union its reflection; the reflected part is
-    # bounded below by the image of lam > 0, so test the left-half formula at
-    # the point and at its dual rather than the seesaw over the whole range
-    f = bmno_boundary(g)
-    levels = _chain_levels(g)
-    columns = _threshold_columns(g)
-
-    def left_half(q: BNPoint) -> bool:
-        if not (0 <= q.mu <= g - 1 and 0 < q.lam):
-            return False
-        if mode is BmnoMode.STABLE:
-            if q.mu.denominator == 1:
-                return 0 < q.mu and q.lam < levels[q.mu]
-            return q.lam <= f(q.mu)
-        s = columns.get(q.mu)
-        if mode is BmnoMode.SEMISTABLE and s is not None and q.lam <= s:
-            return True
-        if q.mu == 0 or q.lam > f(q.mu):
-            return False
-        if mode is BmnoMode.SEMISTABLE:
-            return True
-        if s is not None and q.lam > (s - 1) * (1 + Fraction(1, g)):
-            return False
-        if q.lam == int(q.lam):
-            sc = columns.get(q.mu - 1)
-            if sc is not None and q.lam == sc:
-                return False
-        return True
-
-    if left_half(p) or left_half(sp):
-        return True
-    return mode is BmnoMode.STABLE and g == 3 and (p.mu, p.lam) == (2, 1)
+    return _unit_kernel(g).in_bmno(*_as_point(p), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +387,7 @@ def in_teixidor(g: int, p, stability: Stability = Stability.SEMISTABLE) -> bool:
     mu, lam = _as_point(p)
     if lam <= 0:
         raise ValueError(f"requires lam > 0, got {lam}")
-    fl = lam - math.floor(lam)
-    fm = mu - math.floor(mu)
-    if fl == 0:
-        ok = rho_tilde(g, BNPoint(math.floor(mu), lam)) >= 0
-    elif fl <= fm:
-        ok = rho_tilde(g, BNPoint(math.floor(mu) + 1, math.floor(lam) + 1)) >= 0
-    else:
-        ok = rho_tilde(g, BNPoint(math.floor(mu), math.floor(lam) + 1)) >= 0
-    if not ok:
-        return False
-    if stability is Stability.STABLE and fl == 0 and fm == 0:
-        here = rho_tilde(g, BNPoint(mu - 1, lam)) < 0
-        dual = serre_dual_point(g, BNPoint(mu, lam))
-        there = rho_tilde(g, BNPoint(dual.mu - 1, dual.lam)) < 0
-        if here and there:
-            return False
-    return True
+    return _unit_kernel(g).in_teixidor(mu, lam, stability)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +399,7 @@ def in_bmno_h(g: int, p) -> bool:
     """Hyperelliptic region: union over 1 <= s <= g-1 of the shifted
     (BGN u M u {(2,1)}) tiles, clipped to the pentagon; reflection-symmetric."""
     check_genus(g, 3)
-    mu, lam = _as_point(p)
-    if not in_pentagon(g, p) or mu <= 0:
-        return False
-    s = hyper_window(mu)  # at most g-1, since the pentagon holds mu <= 2g-2
-    if in_translated_bgn(g, 2 * s - 2, s, p) or in_translated_m(g, 2 * s - 2, s, p):
-        return True
-    return mu == 2 * s and lam == s  # image of the known point (2, 1)
+    return _unit_kernel(g).in_bmno_h(*_as_point(p))
 
 
 def hyper_strip(g: int, mu, lam, scale: int = 1) -> tuple[int, bool] | None:
@@ -621,12 +547,13 @@ class _IntBoundary:
 
 
 class _IntScale:
-    """Points (M, L) = (mu*D, lam*D) of genus g at scale D, in integers.
+    """Points (M, L) = (mu*D, lam*D) of genus g at scale D.
 
     Holds the duality, the normalized count and the Teixidor test, which is
-    the one integer body of :func:`in_teixidor`: the kernel inherits it for
-    the sweeps, and the oracle reads a rank-n triple (n, d, k) at D = n,
-    where its point is (d, k).
+    the one body of :func:`in_teixidor`: the kernel inherits it, the sweeps
+    run it on integers at their common denominator, the oracle reads a
+    rank-n triple (n, d, k) at D = n, where its point is (d, k), and
+    :func:`in_teixidor` reads a ``Fraction`` point at D = 1.
     """
 
     __slots__ = ("g", "D", "gd")
@@ -662,15 +589,15 @@ class _IntScale:
 
 
 class _IntKernel(_IntScale):
-    """Integer membership tests of one genus on points (M, L) = (mu*D, lam*D).
+    """The membership tests of one genus on points (M, L) = (mu*D, lam*D).
 
-    Answers what :func:`in_bmno`, :func:`in_teixidor`, :func:`in_bmno_h`, the
-    four shifted/reflected tile tests, :func:`rho_tilde` and
-    :func:`serre_dual_point` answer on the point (M/D, L/D), without building
-    a Fraction.  The tables are derived from :func:`bmno_tiles` and
-    :func:`bmno_boundary`: :meth:`in_bmno` is the same closed form, and every
-    tile, like its Fraction counterpart, is the T- or U-image of the first
-    BGN or M tile.  The Fraction functions stay the reference.
+    The one body of :func:`in_bmno`, :func:`in_teixidor`, :func:`in_bmno_h`
+    and the four shifted/reflected tile tests, which call it at D = 1 on
+    their ``Fraction`` point; the sweeps call it on integers at a common
+    denominator, building no Fraction.  The tables are derived from
+    :func:`bmno_tiles` and :func:`bmno_boundary`: :meth:`in_bmno` is the
+    closed form over the seesaw, the chain levels and the threshold columns,
+    and every tile is the T- or U-image of the first BGN or M tile.
     """
 
     def __init__(self, g: int, scale: int):
@@ -731,6 +658,10 @@ class _IntKernel(_IntScale):
         # the modes are resolved once here: an Enum member lookup costs more
         # than the rest of a typical left-half test
         stable, semistable = mode is BmnoMode.STABLE, mode is BmnoMode.SEMISTABLE
+        # the region is (left polygon) union its reflection; the reflected part
+        # is bounded below by the image of lam > 0, so test the left-half
+        # formula at the point and at its dual rather than the seesaw over the
+        # whole range
         if self._left_half(M, L, stable, semistable):
             return True
         SM, SL = self.dual(M, L)
@@ -746,7 +677,16 @@ class _IntKernel(_IntScale):
         bgn, m = self._hyper[s]
         if bgn.contains(M, L) or m.contains(M, L):
             return True
-        return M == 2 * s * D and L == s * D
+        return M == 2 * s * D and L == s * D  # image of the known point (2, 1)
+
+
+@lru_cache(maxsize=None)
+def _unit_kernel(g: int) -> _IntKernel:
+    """The kernel of genus g at scale 1, whose points are the Fraction points
+    themselves: the body of every public membership test of the tiles and the
+    three regions.  Callers check g first, so that a bad genus is reported
+    before the rest of their input."""
+    return _IntKernel(g, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ The duality and inclusion sweeps run in integers.  With the height offset
 1/(c*g), each genus takes the common denominator D = g*lcm(1..max_den, c),
 at which every sampled slope, boundary value, tile top and offset is an
 integer; a sample that is not a multiple of 1/D raises.  Every
-membership test then goes through the scaled-integer kernel of
-:mod:`bnlocus.regions`, which is built once per genus from the same tile and
-boundary data as the public Fraction functions.  Those functions stay the
-reference: a differential test holds the kernel to them, and points are
-turned back into Fractions only to write a failure record.
+membership test then goes through the kernel of :mod:`bnlocus.regions`,
+built once per genus at scale D: the one body of each region and tile,
+which the public Fraction functions run at scale 1.  Points are turned back
+into Fractions only to write a failure record.
 """
 from __future__ import annotations
 

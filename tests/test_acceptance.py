@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from bnlocus.arith import (
+    Stability,
     Triple,
     hyper_h0_bound,
     line_degree_bound,
@@ -27,7 +28,7 @@ from bnlocus.arith import (
     serre_dual_triple,
 )
 from bnlocus.cli import main as cli_main
-from bnlocus.oracle import CurveClass, Verdict, classify, h0_max
+from bnlocus.oracle import Classification, CurveClass, Verdict, classify, classify_column, h0_max
 from bnlocus.plotting import PlotSpec, _Viewport, render_svg
 from bnlocus.regions import bmno_boundary, parse_region_id, teixidor_boundary
 from bnlocus.sweep import (
@@ -284,3 +285,28 @@ def test_criterion_10_region_comparison():
         ok = False
         details.append("genus-10 threshold arithmetic")
     report(10, "region comparison finds the predicted witnesses", ok, "; ".join(details))
+
+
+def test_criterion_11_abstract_theorem():
+    """The abstract word for word: B(n, d, ks) is nonempty if d = nd' + d''
+    with 0 < d'' < 2n, 1 <= s <= g, d' >= (s-1)(s+g)/s, n <= d'' + (n-k)g and
+    (d'', k) != (n, n), on an arbitrary curve of genus >= 2; checked for every
+    class and stability at genus 2..6, rank <= 3 and d' up to 2g+1."""
+    cases, misses = 0, []
+    for g in range(2, 7):
+        classes = [c for c in CurveClass if not (c is NH and g == 2)]
+        for n in range(1, 4):
+            for s in range(1, g + 1):
+                for d1 in range(line_degree_bound_int(g, s), 2 * g + 2):
+                    for d2 in range(1, 2 * n):
+                        ks = [k for k in range(1, n + 1) if n <= d2 + (n - k) * g and (d2, k) != (n, n)]
+                        for c in classes:
+                            for m in Stability:
+                                column = classify_column(g, n, n * d1 + d2, range(s, n * s + 1), c, m)
+                                for k in ks:
+                                    r = column[(k - 1) * s]  # the triple (n, d, ks)
+                                    cases += 1
+                                    if not (type(r) is Classification and r.nonempty()):
+                                        misses.append((g, c.value, m.value, n, n * d1 + d2, k * s))
+    report(11, "the abstract's nonemptiness theorem", not misses,
+           f"{cases} cases, {len(misses)} misses" + (f", first {misses[:5]}" if misses else ""))

@@ -1,10 +1,10 @@
-"""The oracle's integer forms against the Fraction reference, and its
+"""The oracle's integer forms at scale n against scale 1, and its
 contradiction report.
 
 The oracle reads a rank-n triple (n, d, k) at scale D = n, where its point
-(d/n, k/n) is (d, k).  Each integer test it calls must answer what the
-Fraction function answers on ``t.point()``: the Teixidor membership, the
-hyperelliptic strip and the hyperelliptic slope window.
+(d/n, k/n) is (d, k).  Each test it calls must answer at D = n what the
+Fraction function answers on ``t.point()`` at D = 1: the Teixidor
+membership, the hyperelliptic strip and the hyperelliptic slope window.
 """
 from fractions import Fraction
 

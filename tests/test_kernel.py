@@ -1,9 +1,13 @@
-"""The scaled-integer membership kernel against the Fraction reference.
+"""The membership kernel at scale D (integers) against scale 1 (Fractions).
 
-The sweeps run every membership test through ``regions._IntKernel`` on
-points scaled to a common denominator D; the public Fraction functions are
-the reference it must agree with, on the grid and on every edge, corner,
-sliver and threshold column where the strict and weak inequalities differ.
+``regions._IntKernel`` is the one body of every region and tile test.  The
+sweeps run it on integers at a common denominator D, and the public
+Fraction functions run it on their point at D = 1.  These tests hold the
+two scales together, on the grid and on every edge, corner, sliver and
+threshold column where the strict and weak inequalities differ, so a body
+that used a Fraction-only or an integer-only operation would fail here.
+The bodies themselves are checked independently by the tile-union,
+preimage, duality and membership-bitmap tests.
 """
 import math
 from fractions import Fraction
@@ -63,10 +67,11 @@ def _offsets(x):
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
 def test_kernel_matches_on_lattice(g):
-    """Every integer and half-integer column, 1/D either side, against the
-    integer and half-integer levels, the threshold heights (s-1)(1+1/g) and
-    the boundary values there, 1/D either side: this takes in every corner,
-    sliver, isolated point and threshold column of the regions."""
+    """Scale D against scale 1 at every integer and half-integer column, 1/D
+    either side, against the integer and half-integer levels, the threshold
+    heights (s-1)(1+1/g) and the boundary values there, 1/D either side:
+    this takes in every corner, sliver, isolated point and threshold column
+    of the regions."""
     D = _denominator(g, 8)
     k = _IntKernel(g, D)
     levels = {j * D // 2 for j in range(-2, 2 * g + 3)}
@@ -118,6 +123,7 @@ def kernel_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(kernel_points())
 def test_kernel_matches_fraction_functions(case):
+    """Scale D against scale 1 on random points near the features."""
     _check_regions(*case)
 
 
@@ -151,6 +157,7 @@ def tile_points(draw):
 @settings(max_examples=400, deadline=None)
 @given(tile_points())
 def test_kernel_tiles_match_fraction_functions(case):
+    """Each tile at scale D against its Fraction function at scale 1."""
     g, D, reference, tile, d_shift, s, M, L = case
     p = BNPoint(Fraction(M, D), Fraction(L, D))
     assert tile.contains(M, L) == reference(g, d_shift, s, p), (reference.__name__, d_shift, s, p)

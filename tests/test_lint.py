@@ -1,14 +1,19 @@
-"""No module imports a name that it never uses, and the package defines no
-private name that nothing uses.
+"""No module imports a name that it never uses, the package defines no
+private name that nothing uses, and no package module binds one top-level
+name twice.
 
 No linter is installed, so this is a stdlib ``ast`` scan of the package
 modules and the tests.  An import counts as used when the name appears
 anywhere in its module as an identifier (``__init__.py`` is skipped, since
 it re-exports).  A private top-level function, class or constant of
 the package counts as used when any module names it outside its own
-definition, as an identifier, an attribute or an imported name.
+definition, as an identifier, an attribute or an imported name.  A second
+top-level binding (a def, class, assignment or import) silently shadows the
+first, so a public wrapper left above an older body of the same name would
+leave one of the two dead.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +87,32 @@ def dead_private_names() -> list[str]:
 
 def test_no_dead_private_names():
     assert dead_private_names() == []
+
+
+def _top_level_bindings(tree: ast.Module):
+    """Each name a top-level statement binds: defs, classes, assignment
+    targets (unpacked too), annotated targets and imports."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def rebound_names(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    counts = Counter(_top_level_bindings(tree))
+    return [f"{path.relative_to(ROOT)}: {name} bound {n} times" for name, n in counts.items() if n > 1]
+
+
+def test_no_top_level_name_bound_twice():
+    package = sorted((ROOT / "src" / "bnlocus").glob("*.py"))
+    assert [hit for path in package for hit in rebound_names(path)] == []
+

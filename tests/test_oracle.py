@@ -412,6 +412,29 @@ def test_unknown_evidence_kind_is_rejected(monkeypatch):
         oracle._base_column.cache_clear()
 
 
+def test_no_rule_gives_one_evidence_item_twice_at_one_k():
+    """The contract ``oracle._evidence`` relies on, over every table column
+    R(d) of genus 2..7, rank <= 3, every class and stability: the runs of
+    equal evidence items never overlap."""
+    columns, overlaps = 0, []
+    for g in range(2, 8):
+        for c in CurveClass:
+            if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
+                continue
+            for m in Stability:
+                for n in range(1, 4):
+                    for d in range(2 * n * (g - 1) + 1):
+                        lo, hi = min(1, 1 + d - n * (g - 1)), max(n + d, n * g) + 1
+                        spans = {}
+                        for first, stop, e in oracle._base_column(g, n, d, lo, hi, c, m)[0]:
+                            spans.setdefault(e, []).append((first, stop))
+                        columns += 1
+                        for e, runs in spans.items():
+                            runs.sort()
+                            overlaps += [(g, n, d, e) for a, b in zip(runs, runs[1:]) if b[0] < a[1]]
+    assert (columns, overlaps) == (2130, [])
+
+
 def test_oracle_caches_are_bounded():
     """Every lru_cache of the oracle and of the command line has a maxsize."""
     for module in (oracle, cli):

@@ -84,6 +84,9 @@ def test_translated_tiles_examples():
     assert not in_translated_bgn(10, 6, 2, point(7, 2))           # excluded corner
     assert in_translated_bgn(10, 6, 2, point(F(13, 2), F(19, 10)))  # top boundary
     assert in_translated_m(10, 6, 2, point(8, F(3, 2)))           # right sliver
+    for fn in (in_translated_bgn, in_translated_m, in_u_bgn_half, in_u_m_half):
+        with pytest.raises(ValueError, match=r"^section multiplier must be >= 1, got 0$"):
+            fn(10, 6, 0, point(7, 2))
 
 
 def test_u_half_sets():
@@ -289,7 +292,7 @@ def test_teixidor_examples():
     assert in_teixidor(10, point(F(13, 2), F(3, 2)))
     assert not in_teixidor(10, point(F(13, 2), F(8, 5)))
     assert in_teixidor(10, point(5, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^requires lam > 0, got 0$"):
         in_teixidor(10, point(1, 0))
 
 
@@ -499,6 +502,37 @@ def test_region_id_rejects_a_kind_that_is_not_a_region_kind():
     # the dispatches in boundary_polyline and region_membership rely on it
     with pytest.raises(TypeError):
         RegionId("bgn")
+
+
+# -- input checks of the kernel-backed membership tests -------------------------
+
+# the seven Fraction membership tests whose body is the scale-1 kernel, each
+# with arguments after the genus that are also wrong: a bad mode or
+# stability, lam = 0, s = 0 or a point of three coordinates
+KERNEL_BACKED = (
+    (in_bmno, (point(1, 1), "no-such-mode")),
+    (in_teixidor, (point(1, 0), "no-such-stability")),
+    (in_bmno_h, ((1, 1, 1),)),
+    (in_translated_bgn, (0, 0, (1, 1, 1))),
+    (in_translated_m, (0, 0, (1, 1, 1))),
+    (in_u_bgn_half, (0, 0, (1, 1, 1))),
+    (in_u_m_half, (0, 0, (1, 1, 1))),
+)
+
+
+@pytest.mark.parametrize("fn, args", KERNEL_BACKED, ids=[fn.__name__ for fn, _ in KERNEL_BACKED])
+@pytest.mark.parametrize("g, error, text", [
+    (3.0, TypeError, "genus must be an integer, got 3.0"),
+    (True, TypeError, "genus must be an integer, got True"),
+    (2, ValueError, "genus must be >= 3, got 2"),
+], ids=["float", "bool", "two"])
+def test_kernel_backed_memberships_reject_a_bad_genus(fn, args, g, error, text):
+    """The genus is checked first, before the cached kernel is looked up, and
+    a cached genus-3 kernel does not answer for 3.0 or True."""
+    in_bmno_h(3, point(1, 1))  # caches the genus-3 kernel that all seven read
+    with pytest.raises(error) as exc:
+        fn(g, *args)
+    assert str(exc.value) == text
 
 
 # -- duality invariance (property form) ---------------------------------------

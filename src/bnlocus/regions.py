@@ -241,14 +241,14 @@ def in_translated_bgn(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the BGN trapezium under T: d' < mu <= d'+1,
     0 < lam <= (s/g)(mu-d'-1)+s, minus the corner (d'+1, s)."""
     check_genus(g, 3)
-    return _unit_kernel(g).shifted_tile("bgn", d_shift, s).contains(*_as_point(p))
+    return _unit_tile(g, "bgn", d_shift, s, False).contains(*_as_point(p))
 
 
 def in_translated_m(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the M trapezium under T: open strip d'+1 < mu < d'+2 under
     the same top line, plus the sliver {(d'+2, lam): 0 < lam < s}."""
     check_genus(g, 3)
-    return _unit_kernel(g).shifted_tile("m", d_shift, s).contains(*_as_point(p))
+    return _unit_tile(g, "m", d_shift, s, False).contains(*_as_point(p))
 
 
 def u_params(g: int, d_shift: int, s: int) -> tuple[int, int]:
@@ -260,14 +260,14 @@ def in_u_bgn_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected BGN tile clipped to the left half: d1 <= mu < d1+1,
     0 < lam <= (1-s/g)(mu-d1)+s1, minus the anchor point (d1, s1)."""
     check_genus(g, 3)
-    return _unit_kernel(g).reflected_tile("bgn", d_shift, s).contains(*_as_point(p))
+    return _unit_tile(g, "bgn", d_shift, s, True).contains(*_as_point(p))
 
 
 def in_u_m_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected M tile clipped to the left half: open strip d1-1 < mu < d1
     under the same top, plus the sliver {(d1-1, lam): 0 < lam < s1-1}."""
     check_genus(g, 3)
-    return _unit_kernel(g).reflected_tile("m", d_shift, s).contains(*_as_point(p))
+    return _unit_tile(g, "m", d_shift, s, True).contains(*_as_point(p))
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +687,14 @@ def _unit_kernel(g: int) -> _IntKernel:
     three regions.  Callers check g first, so that a bad genus is reported
     before the rest of their input."""
     return _IntKernel(g, 1)
+
+
+@lru_cache(maxsize=1 << 10)
+def _unit_tile(g: int, kind: str, d_shift: int, s: int, reflected: bool) -> _IntTile:
+    """A shifted or reflected tile of the scale-1 kernel, built once per
+    (g, kind, d', s) rather than on every call of its Fraction test."""
+    kernel = _unit_kernel(g)
+    return (kernel.reflected_tile if reflected else kernel.shifted_tile)(kind, d_shift, s)
 
 
 # ---------------------------------------------------------------------------

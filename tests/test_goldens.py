@@ -102,8 +102,8 @@ def _membership_row(g, p):
     return "".join("1" if b else "0" for b in bits)
 
 
-# genus -> (grid denominator, digest); genus 9 has several chain levels,
-# reflected tiles and threshold columns, so a coarser grid suffices there
+# genus -> (grid denominator, digest); genus 9 brings several chain levels,
+# reflected tiles and threshold columns, on a coarser grid to keep it near 1 s
 MEMBERSHIP = {
     3: (8, "6b3d3e2e6c62bd7ada4aaa482cd466dd5cfee95f4076be81e29d220de6ce68fe"),
     4: (8, "7e60f3dab00c39c48b6d4ea42a16595a0e356e77a97de265578050ce175a174b"),

@@ -419,7 +419,7 @@ def test_no_rule_gives_one_evidence_item_twice_at_one_k():
     columns, overlaps = 0, []
     for g in range(2, 8):
         for c in CurveClass:
-            if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
+            if c is NH and g == 2:
                 continue
             for m in Stability:
                 for n in range(1, 4):

@@ -49,9 +49,14 @@ def format_rat(value) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
+def check_int(name: str, v) -> None:
+    """Raise TypeError unless v is an int (a bool is not)."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+
+
 def check_genus(g: int, minimum: int = 2) -> int:
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise TypeError(f"genus must be an integer, got {g!r}")
+    check_int("genus", g)
     if g < minimum:
         raise ValueError(f"genus must be >= {minimum}, got {g}")
     return g
@@ -94,9 +99,7 @@ class Triple:
 
     def __post_init__(self):
         for name in ("n", "d", "k"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"{name} must be an integer, got {v!r}")
+            check_int(name, getattr(self, name))
         if self.n < 1:
             raise ValueError(f"rank must be >= 1, got {self.n}")
 

@@ -57,6 +57,7 @@ from .arith import (
     Stability,
     Triple,
     check_genus,
+    check_int,
     format_rat,
     hyper_h0_bound,
     hyper_window,
@@ -509,22 +510,17 @@ _NONEMPTY = (Verdict.NON_EMPTY, Verdict.WHOLE_SPACE)
 # ---------------------------------------------------------------------------
 
 
-def _check_int(name: str, v) -> None:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError(f"{name} must be an integer, got {v!r}")
-
-
 def _check_column(g: int, n: int, d: int, c: CurveClass) -> CurveClass:
     """Check the genus, that n is an integer, the rank and the curve class,
     in that order, then that d is an integer; return the curve class."""
     check_genus(g)
-    _check_int("n", n)
+    check_int("n", n)
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     c = CurveClass(c)
     if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
         raise ValueError("every genus-2 curve is hyperelliptic")
-    _check_int("d", d)
+    check_int("d", d)
     return c
 
 
@@ -605,11 +601,12 @@ def _serre_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: St
 
     def evidence(ks: range) -> list[tuple[Evidence, ...]]:  # with the serre evidence where the dual decides
         out = _evidence(runs, ks)
-        duals = _evidence(dual_runs, range(ks.start + shift, ks.stop + shift))
-        for i, (k, dual_ev, bits) in enumerate(zip(ks, duals, dual_kinds[ks.start - lo:])):
+        for i, (k, bits) in enumerate(zip(ks, dual_kinds[ks.start - lo:])):
             if type(bits) is int and _SERRE_BIT[bits]:
                 kind = "empty" if bits == 4 else "nonempty"
-                primary = next(e.rule for e in dual_ev if (e.kind == "empty") == (kind == "empty"))
+                # the runs are in rule order, so the first that covers the dual is its first evidence of the kind
+                primary = next(e.rule for first, stop, e in dual_runs
+                               if first <= k + shift < stop and (e.kind == "empty") == (bits == 4))
                 out[i] += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
                                else "duality carries nonemptiness across the reflection",
                                dual=f"(n={n}, d={dual_d}, k={k + shift})", dual_rule=primary),)

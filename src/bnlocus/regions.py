@@ -572,7 +572,7 @@ class _IntScale:
         if L <= 0:
             raise ValueError(f"requires lam > 0, got {L}/{self.D}")
         D = self.D
-        floor_mu, floor_lam = M - M % D, L - L % D
+        floor_mu, floor_lam = M // D * D, L // D * D
         if L == floor_lam:
             ok = self.rho_tilde(floor_mu, L) >= 0
         elif L - floor_lam <= M - floor_mu:

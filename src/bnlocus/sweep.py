@@ -38,6 +38,7 @@ from .arith import (
 from .oracle import _NONEMPTY, Classification, ContradictionError, CurveClass, Verdict, _table
 from .regions import (
     BmnoMode,
+    Piece,
     _IntKernel,
     bmno_boundary,
     hyper_boundary,
@@ -151,6 +152,32 @@ def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, param: int, *bodies,
 # ---------------------------------------------------------------------------
 # suite 1: the assembled boundary stays within one of the expected-dimension curve
 # ---------------------------------------------------------------------------
+
+
+def _gap_failures(g: int, p: Piece) -> list[tuple[Fraction, Fraction]]:
+    """The points (mu, lam) of piece p among those that decide it where the
+    boundary is not on or below the expected-dimension curve with
+    boundary+1 above it.
+
+    Along lam = a*mu + c the normalized count is a quadratic in mu with
+    leading coefficient a(1-a), so on the closed piece it takes its extremes
+    at an end or at its vertex; the midpoint covers a constant count.  An end
+    the piece does not own only bounds the open side: there boundary+1 may
+    touch the curve."""
+    a, b = p.slope, p.intercept
+    owned = {p.lo: p.include_lo, p.hi: p.include_hi, (p.lo + p.hi) / 2: True}
+    if a not in (0, 1):
+        for c in (b, b + 1):  # the vertices of the count at the boundary and one above it
+            v = -(c * (2 * a - 1) + a * (g - 1)) / (2 * a * (a - 1))
+            if p.lo < v < p.hi:
+                owned[v] = True
+    out = []
+    for mu in sorted(owned):
+        lam = p.value_at(mu)
+        above = rho_tilde(g, BNPoint(mu, lam + 1))
+        if not ((lam <= 0 or rho_tilde(g, BNPoint(mu, lam)) >= 0) and (above < 0 if owned[mu] else above <= 0)):
+            out.append((mu, lam))
+    return out
 
 
 def _boundary_gap(boundary, rep: SweepReport, g: int, max_den: int) -> None:

@@ -192,19 +192,20 @@ def _given(args, **params) -> dict:
 def _run_suite(name: str, args) -> sweep.SweepReport:
     if name == "oracle":
         return sweep.verify_oracle(**_given(args, g_lo="genus_min", g_max="genus_max", n_max="max_rank"))
-    window = _given(args, g_lo="genus_min", g_hi="genus_max", max_den="max_den")
+    window = _given(args, g_lo="genus_min", g_hi="genus_max")
     if name == "prop411":
         return sweep.verify_prop_4_11(**window)
     if name == "teixidor":
         return sweep.verify_teixidor_gap(**window)
+    window.update(_given(args, max_den="max_den"))
     if name == "inclusions":
         return sweep.verify_inclusions(**window)
     return sweep.verify_sigma(**window)
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "oracle" and args.max_den is not None:
-        raise ValueError("--max-den does not apply to --suite oracle")
+    if args.suite in ("prop411", "teixidor", "oracle") and args.max_den is not None:
+        raise ValueError(f"--max-den does not apply to --suite {args.suite}")
     if args.suite not in ("oracle", "all") and args.max_rank is not None:
         raise ValueError(f"--max-rank does not apply to --suite {args.suite}")
     names = _SUITES if args.suite == "all" else (args.suite,)

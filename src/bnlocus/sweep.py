@@ -1,12 +1,15 @@
-"""Batch verification sweeps over exhaustive rational grids.
+"""Batch verification sweeps: exact per-piece checks and exhaustive rational grids.
 
-Everything here is deterministic: grids are enumerated by denominator
-(plus every breakpoint of every boundary function involved), reports are
-sorted canonically, and no floating point is used anywhere.  Heights are
-sampled per combinatorial cell: since every boundary is piecewise linear,
-membership along a vertical line only changes at the finitely many tops
-and integer levels, so testing those values and small offsets around them
-covers every case a blind denominator grid would reach.
+The boundary-gap suites decide their property on each linear piece of a
+boundary exactly, from the few points where the normalized count along the
+piece takes its extremes, so they take no grid.  The other sweeps sample.
+
+Everything here is deterministic: grids are enumerated by denominator,
+reports are sorted canonically, and no floating point is used anywhere.
+Heights are sampled per combinatorial cell: since every boundary is
+piecewise linear, membership along a vertical line only changes at the
+finitely many tops and integer levels, so testing those values and small
+offsets around them covers every case a blind denominator grid would reach.
 
 The duality and inclusion sweeps run in integers.  With the height offset
 1/(c*g), each genus takes the common denominator D = g*lcm(1..max_den, c),
@@ -70,8 +73,7 @@ class SweepReport:
     suite: str
     genus_lo: int
     genus_hi: int
-    param: int
-    param_name: str
+    params: dict[str, int] = field(default_factory=dict)  # the suite's parameter by name, if it has one
     checks_run: int = 0
     failure_count: int = 0
     failures: list[SweepFailure] = field(default_factory=list)
@@ -90,7 +92,7 @@ class SweepReport:
             "suite": self.suite,
             "genus_lo": self.genus_lo,
             "genus_hi": self.genus_hi,
-            _PARAM_LABELS[self.param_name][0]: self.param,
+            **{_PARAM_LABELS[name][0]: v for name, v in self.params.items()},
             "checks_run": self.checks_run,
             "failure_count": self.failure_count,
             "failures": [f.to_json_dict() for f in self.failures],
@@ -98,8 +100,8 @@ class SweepReport:
 
     def summary(self) -> str:
         state = "PASS" if self.passed else f"FAIL ({self.failure_count} failures)"
-        return (f"{self.suite}: genus {self.genus_lo}..{self.genus_hi}, "
-                f"{_PARAM_LABELS[self.param_name][1]}<={self.param}, {self.checks_run} checks: {state}")
+        params = "".join(f"{_PARAM_LABELS[name][1]}<={v}, " for name, v in self.params.items())
+        return f"{self.suite}: genus {self.genus_lo}..{self.genus_hi}, {params}{self.checks_run} checks: {state}"
 
 
 def rationals_between(lo, hi, max_den: int, include_lo=False, include_hi=False) -> list[Fraction]:
@@ -132,20 +134,20 @@ def _point(M: int, L: int, D: int) -> BNPoint:
     return BNPoint(Fraction(M, D), Fraction(L, D))
 
 
-def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, param: int, *bodies,
-           hi: str = "g_hi", param_name: str = "max_den") -> SweepReport:
-    """Check the genus window and the parameter, then run each
-    ``body(report, g, param)`` over g = g_lo..g_hi in order, all writing into
-    one report.  The bodies run one after another, each over the whole
-    window, so the failure records come in the order the suite states them."""
+def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, *bodies, hi: str = "g_hi", **params) -> SweepReport:
+    """Check the genus window and the suite's parameter, if it has one, then
+    run each ``body(report, g, **params)`` over g = g_lo..g_hi in order, all
+    writing into one report.  The bodies run one after another, each over the
+    whole window, so the failure records come in the order the suite states them."""
     if not (g_min <= g_lo <= g_hi):
         raise ValueError(f"need {g_min} <= g_lo <= {hi}")
-    if param < 1:
-        raise ValueError(f"{param_name} must be >= 1, got {param}")
-    rep = SweepReport(suite, g_lo, g_hi, param, param_name)
+    for name, v in params.items():
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
+    rep = SweepReport(suite, g_lo, g_hi, params)
     for body in bodies:
         for g in range(g_lo, g_hi + 1):
-            body(rep, g, param)
+            body(rep, g, **params)
     return rep
 
 
@@ -154,16 +156,15 @@ def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, param: int, *bodies,
 # ---------------------------------------------------------------------------
 
 
-def _gap_failures(g: int, p: Piece) -> list[tuple[Fraction, Fraction]]:
-    """The points (mu, lam) of piece p among those that decide it where the
-    boundary is not on or below the expected-dimension curve with
-    boundary+1 above it.
+def _gap_failure(g: int, p: Piece) -> tuple[Fraction, Fraction] | None:
+    """The first point (mu, lam) of piece p at which the boundary is not on
+    or below the expected-dimension curve with boundary+1 above it, or None.
 
     Along lam = a*mu + c the normalized count is a quadratic in mu with
     leading coefficient a(1-a), so on the closed piece it takes its extremes
-    at an end or at its vertex; the midpoint covers a constant count.  An end
-    the piece does not own only bounds the open side: there boundary+1 may
-    touch the curve."""
+    at an end or at its vertex, and the midpoint covers a constant count.
+    These few points decide the piece.  At an end the piece does not own,
+    boundary+1 may touch the curve."""
     a, b = p.slope, p.intercept
     owned = {p.lo: p.include_lo, p.hi: p.include_hi, (p.lo + p.hi) / 2: True}
     if a not in (0, 1):
@@ -171,36 +172,32 @@ def _gap_failures(g: int, p: Piece) -> list[tuple[Fraction, Fraction]]:
             v = -(c * (2 * a - 1) + a * (g - 1)) / (2 * a * (a - 1))
             if p.lo < v < p.hi:
                 owned[v] = True
-    out = []
     for mu in sorted(owned):
         lam = p.value_at(mu)
         above = rho_tilde(g, BNPoint(mu, lam + 1))
         if not ((lam <= 0 or rho_tilde(g, BNPoint(mu, lam)) >= 0) and (above < 0 if owned[mu] else above <= 0)):
-            out.append((mu, lam))
-    return out
+            return mu, lam
+    return None
 
 
-def _boundary_gap(boundary, rep: SweepReport, g: int, max_den: int) -> None:
-    fn = boundary(g)
-    grid = set(rationals_between(0, 2 * g - 2, max_den)) | set(fn.breakpoints())
-    for mu in sorted(grid):
-        val = fn(mu)
+def _boundary_gap(boundary, rep: SweepReport, g: int) -> None:
+    for p in boundary(g).pieces:
         rep.checks_run += 1
-        below = rho_tilde(g, BNPoint(mu, val)) >= 0 if val > 0 else True
-        above = rho_tilde(g, BNPoint(mu, val + 1)) < 0
-        if not (below and above):
-            rep.record(f"g={g} mu={format_rat(mu)}",
+        if failure := _gap_failure(g, p):
+            mu, lam = failure
+            rep.record(f"g={g} piece {format_rat(p.lo)}..{format_rat(p.hi)} mu={format_rat(mu)}",
                        "boundary on or below the curve, boundary+1 above",
-                       f"value={format_rat(val)}")
+                       f"value={format_rat(lam)}")
 
 
-def verify_prop_4_11(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> SweepReport:
+def verify_prop_4_11(g_lo: int = 3, g_hi: int = 30) -> SweepReport:
     """The assembled boundary lies on or below the expected-dimension curve,
-    and less than one below it, at every grid point and breakpoint."""
-    return _sweep("boundary_gap_f", 3, g_lo, g_hi, max_den, partial(_boundary_gap, bmno_boundary))
+    and less than one below it, over its whole domain: one exact check per
+    piece."""
+    return _sweep("boundary_gap_f", 3, g_lo, g_hi, partial(_boundary_gap, bmno_boundary))
 
 
-def _teixidor_shape(rep: SweepReport, g: int, _max_den: int) -> None:
+def _teixidor_shape(rep: SweepReport, g: int) -> None:
     fn = teixidor_boundary(g)
     prev_val = None
     for a, b in zip(fn.pieces, fn.pieces[1:]):
@@ -219,11 +216,10 @@ def _teixidor_shape(rep: SweepReport, g: int, _max_den: int) -> None:
         prev_val = p.value_at(min(p.hi, Fraction(g - 1)))
 
 
-def verify_teixidor_gap(g_lo: int = 3, g_hi: int = 30, max_den: int = 12) -> SweepReport:
+def verify_teixidor_gap(g_lo: int = 3, g_hi: int = 30) -> SweepReport:
     """Same one-sided unit gap for the parallelogram boundary, plus its
     continuity and monotonicity."""
-    return _sweep("boundary_gap_t", 3, g_lo, g_hi, max_den,
-                  partial(_boundary_gap, teixidor_boundary), _teixidor_shape)
+    return _sweep("boundary_gap_t", 3, g_lo, g_hi, partial(_boundary_gap, teixidor_boundary), _teixidor_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +295,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
 
 def verify_inclusions(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport:
     """Tile-inclusion chain and the three reflected-tile coverage facts."""
-    return _sweep("inclusions", 4, g_lo, g_hi, max_den, _inclusions)
+    return _sweep("inclusions", 4, g_lo, g_hi, _inclusions, max_den=max_den)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,7 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
 def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport:
     """Region memberships and the normalized count agree at each point and
     its duality reflection; the assembled boundary graph is self-dual."""
-    return _sweep("sigma", 3, g_lo, g_hi, max_den, _sigma)
+    return _sweep("sigma", 3, g_lo, g_hi, _sigma, max_den=max_den)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,7 @@ def _oracle(rep: SweepReport, g: int, n_max: int) -> None:
 def verify_oracle(g_max: int = 6, n_max: int = 5, g_lo: int = 2) -> SweepReport:
     """No contradictions, section-count monotonicity, duality consistency,
     hyperelliptic sharpness and Clifford soundness over the full window."""
-    return _sweep("oracle", 2, g_lo, g_max, n_max, _oracle, hi="g_max", param_name="n_max")
+    return _sweep("oracle", 2, g_lo, g_max, _oracle, hi="g_max", n_max=n_max)
 
 
 # ---------------------------------------------------------------------------

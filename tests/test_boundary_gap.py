@@ -4,7 +4,7 @@ The reference is the grid body the suites ran before: every rational of
 denominator at most 12 in the domain, plus every breakpoint, each checked
 on the piece that owns it.  On the seesaw and parallelogram boundaries the
 two must pass the same pieces; on pieces moved off the boundary, the exact
-test must flag every piece the grid flags, and each point it names must be
+test must flag every piece the grid flags, and the point it names must be
 a real failure.
 """
 import random
@@ -15,7 +15,7 @@ import pytest
 
 from bnlocus.arith import BNPoint, rho_tilde
 from bnlocus.regions import Piece, bmno_boundary, teixidor_boundary
-from bnlocus.sweep import _gap_failures, rationals_between
+from bnlocus.sweep import _gap_failure, rationals_between
 
 F = Fraction
 GENERA = range(3, 31)
@@ -44,7 +44,7 @@ def test_exact_and_grid_pass_the_same_pieces(boundary):
     # the per-piece grids make up the grid the suite ran: rationals and breakpoints, each once
     assert sum(len(_grid(p)) for _, p in pieces) == 39900
     grid = [_grid_flags(g, p) for g, p in pieces]
-    assert [bool(_gap_failures(g, p)) for g, p in pieces] == grid and not any(grid)
+    assert [_gap_failure(g, p) is not None for g, p in pieces] == grid and not any(grid)
 
 
 def _real_failure(g, p, mu) -> bool:
@@ -63,8 +63,8 @@ def test_exact_flags_every_perturbed_piece_the_grid_flags():
         p = rng.choice(rng.choice([bmno_boundary, teixidor_boundary])(g).pieces)
         step = F(rng.choice([1, -1]), rng.choice([50, 500, 5000]))
         p = replace(p, intercept=p.intercept + step) if rng.random() < 0.5 else replace(p, slope=p.slope + step)
-        exact, grid = _gap_failures(g, p), _grid_flags(g, p)
-        assert all(_real_failure(g, p, mu) for mu, _ in exact), (g, p)
+        exact, grid = _gap_failure(g, p), _grid_flags(g, p)
+        assert exact is None or _real_failure(g, p, exact[0]), (g, p)
         (both if exact and grid else grid_only if grid else exact_only if exact else []).append(p)
     assert grid_only == [] and both and exact_only
 
@@ -73,8 +73,8 @@ def test_exact_reads_the_vertex_and_the_ends_each_piece_owns():
     # 1/100 above the tangent lam = mu/2 - 3/2 to the genus-10 curve at (9, 3):
     # below the curve at both ends and the midpoint, above it at the vertex
     tangent = Piece(F(8), F(12), F(1, 2), F(-149, 100))
-    assert _gap_failures(10, tangent) == [(9, F(301, 100))]
+    assert _gap_failure(10, tangent) == (9, F(301, 100))
     # boundary+1 touches the curve at (9, 3): allowed only at an end the piece does not own
     touching = Piece(F(9), F(10), F(1), F(-7))
-    assert _gap_failures(10, touching) == []
-    assert _gap_failures(10, replace(touching, include_lo=True)) == [(9, 2)]
+    assert _gap_failure(10, touching) is None
+    assert _gap_failure(10, replace(touching, include_lo=True)) == (9, 2)

@@ -138,7 +138,7 @@ def test_verify_suite(capsys):
                        "--genus-max", "4", "--max-rank", "1")
     assert code == 0 and out.startswith("oracle: genus 4..4, rank<=1, ")
     assert run(capsys, "verify", "--suite", "teixidor", "--genus-max", "6") == (
-        0, "boundary_gap_t: genus 3..6, den<=12, 1314 checks: PASS\n", "")
+        0, "boundary_gap_t: genus 3..6, 54 checks: PASS\n", "")
 
 
 def test_verify_out_writes_one_report_per_suite(capsys, tmp_path):
@@ -149,9 +149,11 @@ def test_verify_out_writes_one_report_per_suite(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert isinstance(doc, list)
     assert [r["suite"] for r in doc] == ["boundary_gap_f", "boundary_gap_t", "inclusions", "sigma", "oracle"]
-    assert [r["checks_run"] for r in doc] == [11, 17, 271, 1243, 224]
-    assert out == ("boundary_gap_f: genus 4..4, den<=2, 11 checks: PASS\n"
-                   "boundary_gap_t: genus 4..4, den<=2, 17 checks: PASS\n"
+    assert [r["checks_run"] for r in doc] == [6, 11, 271, 1243, 224]
+    # --max-den reaches the two grid suites only
+    assert ["max_denominator" in r for r in doc] == [False, False, True, True, False]
+    assert out == ("boundary_gap_f: genus 4..4, 6 checks: PASS\n"
+                   "boundary_gap_t: genus 4..4, 11 checks: PASS\n"
                    "inclusions: genus 4..4, den<=2, 271 checks: PASS\n"
                    "sigma: genus 4..4, den<=2, 1243 checks: PASS\n"
                    "oracle: genus 4..4, rank<=1, 224 checks: PASS\n")
@@ -175,6 +177,13 @@ def test_verify_out_writes_one_report_per_suite(capsys, tmp_path):
 def test_verify_explicit_zero_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("suite", ["prop411", "teixidor", "oracle"])
+def test_max_den_off_the_grid_suites_exits_one(capsys, suite):
+    # the boundary-gap suites decide each piece exactly, so only inclusions and sigma read --max-den
+    assert run(capsys, "verify", "--suite", suite, "--max-den", "5") == (
+        1, "", f"error: --max-den does not apply to --suite {suite}\n")
 
 
 def test_compare_json(capsys):
@@ -310,7 +319,7 @@ JSON_TEXTS = [
      "30cddb4407007a1da86015c38bfa29e88ab518c1e7024e99a1bcba9b0bc5ed2a"),
     ("compare --genus 10", True, "63fe485b73f5e79143eed5dd2e6c41798ce63462a85a504ecb8153895a403918"),
     ("verify --suite all --genus-max 4 --max-den 2 --max-rank 1", True,
-     "bef928c6bb84b481d27e8e08109c873a364eb4fef8fd3fe92d7553a4726995e2"),
+     "4c9da5db51cb364a48112dfab24bfb81891d930c86668e6be9a2f76fc25b8419"),
 ]
 
 

@@ -84,10 +84,10 @@ CASES = {
         "554445c5a1dede90119c8bdd7464d708738673f3bea85637173a0ad0846db00a"),
     "hyper-bound-oracle": (_hyper_bound_low, "oracle", (4, 3), 40,
         "3ad9687c34ee844a8ab1dc35fc76bdc5728afc74763df18a09f4e1cce1d1df11"),
-    "rho-prop411": (_rho_low, "prop411", (3, 8, 6), 11,
-        "b09527c171f5f50813f59744143ab577ecb6818a98dbce70028f5e93d294a267"),
-    "rho-teixidor": (_rho_low, "teixidor", (3, 8, 6), 7,
-        "fd7bc35a85509d48eecef12b2c77bffd62bebd24b8d5594aea0b54ecc1b22b13"),
+    "rho-prop411": (_rho_low, "prop411", (3, 8), 14,
+        "4d57bdc6a29d9cc2a1751341b707971895c159a2ec904ada2af04b09656fd096"),
+    "rho-teixidor": (_rho_low, "teixidor", (3, 8), 14,
+        "75f166118551d30f6f07f5cb6da9cdf42238ead9d1ea1f8d3ed7dd41010b08fd"),
 }
 
 _SUITES = {

@@ -242,11 +242,11 @@ def test_h0_max_golden():
 
 def test_sweep_reports_golden():
     reports = [
-        verify_prop_4_11(3, 6, 6),
-        verify_teixidor_gap(3, 6, 6),
+        verify_prop_4_11(3, 6),
+        verify_teixidor_gap(3, 6),
         verify_sigma(3, 4, 4),
         verify_inclusions(4, 5, 4),
     ]
     lines = [json.dumps(r.to_json_dict()) for r in reports]
     lines += [json.dumps(compare_regions(g, 6).to_json_dict()) for g in (3, 4, 10, 12)]
-    assert _digest(lines) == "ca60293cc7b406e36e86e644c686d65200b07138e5be66d0fa931dd36fe00ae9"
+    assert _digest(lines) == "06e862ab496e9b46eaf169574e65befefdeec43a80600f81cdeef551ab92651c"

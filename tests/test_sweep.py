@@ -30,13 +30,16 @@ def test_rationals_between():
 
 
 def test_prop_boundary_gap_small():
-    rep = verify_prop_4_11(3, 8, 8)
+    rep = verify_prop_4_11(3, 8)
     assert rep.passed and rep.checks_run > 0
 
 
 def test_teixidor_gap_small():
-    rep = verify_teixidor_gap(3, 8, 8)
+    rep = verify_teixidor_gap(3, 8)
     assert rep.passed
+    # one check per piece, plus the shape checks; no parameter in the report
+    assert rep.to_json_dict() == {"suite": "boundary_gap_t", "genus_lo": 3, "genus_hi": 8,
+                                  "checks_run": 102, "failure_count": 0, "failures": []}
 
 
 def test_inclusions_small():
@@ -63,8 +66,8 @@ def test_oracle_sweep_small():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: verify_prop_4_11(3, 4, 0),
-    lambda: verify_teixidor_gap(3, 4, 0),
+    lambda: verify_prop_4_11(4, 3),
+    lambda: verify_teixidor_gap(2, 4),
     lambda: verify_inclusions(4, 4, -3),
     lambda: verify_sigma(4, 4, 0),
     lambda: verify_oracle(4, 0),
@@ -79,8 +82,8 @@ def test_sweep_window_validation(call):
 
 
 def test_reports_are_deterministic():
-    a = verify_prop_4_11(3, 6, 6).to_json_dict()
-    b = verify_prop_4_11(3, 6, 6).to_json_dict()
+    a = verify_prop_4_11(3, 6).to_json_dict()
+    b = verify_prop_4_11(3, 6).to_json_dict()
     assert json.dumps(a) == json.dumps(b)
 
 

@@ -173,17 +173,12 @@ def test_verify_out_writes_one_report_per_suite(capsys, tmp_path):
     ("enumerate", "--genus", "1", "--max-rank", "0"),
     ("verify", "--suite", "oracle", "--max-den", "0"),
     ("verify", "--suite", "prop411", "--max-rank", "-7"),
+    ("verify", "--suite", "prop411", "--max-den", "5"),
+    ("verify", "--suite", "teixidor", "--max-den", "5"),
 ])
 def test_verify_explicit_zero_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error: ")
-
-
-@pytest.mark.parametrize("suite", ["prop411", "teixidor", "oracle"])
-def test_max_den_off_the_grid_suites_exits_one(capsys, suite):
-    # the boundary-gap suites decide each piece exactly, so only inclusions and sigma read --max-den
-    assert run(capsys, "verify", "--suite", suite, "--max-den", "5") == (
-        1, "", f"error: --max-den does not apply to --suite {suite}\n")
 
 
 def test_compare_json(capsys):

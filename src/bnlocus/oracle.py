@@ -606,7 +606,7 @@ def _serre_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: St
                 kind = "empty" if bits == 4 else "nonempty"
                 # the runs are in rule order, so the first that covers the dual is its first evidence of the kind
                 primary = next(e.rule for first, stop, e in dual_runs
-                               if first <= k + shift < stop and (e.kind == "empty") == (bits == 4))
+                               if first <= k + shift < stop and (e.kind == "empty") == (kind == "empty"))
                 out[i] += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
                                else "duality carries nonemptiness across the reflection",
                                dual=f"(n={n}, d={dual_d}, k={k + shift})", dual_rule=primary),)

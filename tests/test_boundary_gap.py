@@ -65,7 +65,10 @@ def test_exact_flags_every_perturbed_piece_the_grid_flags():
         p = replace(p, intercept=p.intercept + step) if rng.random() < 0.5 else replace(p, slope=p.slope + step)
         exact, grid = _gap_failure(g, p), _grid_flags(g, p)
         assert exact is None or _real_failure(g, p, exact[0]), (g, p)
-        (both if exact and grid else grid_only if grid else exact_only if exact else []).append(p)
+        if grid:
+            (both if exact else grid_only).append(p)
+        elif exact:
+            exact_only.append(p)
     assert grid_only == [] and both and exact_only
 
 

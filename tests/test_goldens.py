@@ -250,3 +250,23 @@ def test_sweep_reports_golden():
     lines = [json.dumps(r.to_json_dict()) for r in reports]
     lines += [json.dumps(compare_regions(g, 6).to_json_dict()) for g in (3, 4, 10, 12)]
     assert _digest(lines) == "06e862ab496e9b46eaf169574e65befefdeec43a80600f81cdeef551ab92651c"
+
+
+# (suite, window) -> sha256 of the report JSON: the benchmark's sigma and
+# inclusions window at genus 6, denominator 8 (32,982 + 9,378 checks), and
+# two wider windows
+SWEEP_REPORTS = {
+    ("sigma", (6, 6, 8)): "8df447caf92783ee08b21dccefaaf4a1f1bd2bd72e32b9be2c9aa07bb3d9fe43",
+    ("inclusions", (6, 6, 8)): "aa66ceea2f8cd9318861de8423adb7f277f30ea91504b6a4733596379ebbe275",
+    ("sigma", (3, 8, 6)): "ed82ad688eb769c7895833adfb36a08a4c21144f3457114d6c423a6debcabbf4",
+    ("inclusions", (4, 12, 8)): "796885210530c8c36632eaf34c6bd2dae4e894c0f221e748b90b555e31cb6d75",
+}
+
+
+@pytest.mark.parametrize("suite, window", sorted(SWEEP_REPORTS),
+                         ids=[f"{s}-{'-'.join(map(str, w))}" for s, w in sorted(SWEEP_REPORTS)])
+def test_sweep_report_digest(suite, window):
+    """The report JSON of the duality and inclusion sweeps, byte for byte."""
+    rep = {"sigma": verify_sigma, "inclusions": verify_inclusions}[suite](*window)
+    assert rep.passed
+    assert hashlib.sha256(json.dumps(rep.to_json_dict()).encode("utf-8")).hexdigest() == SWEEP_REPORTS[suite, window]

@@ -286,7 +286,7 @@ def _verify_args(p) -> None:
     p.add_argument("--suite", choices=_SUITES + ("all",), required=True)
     p.add_argument("--genus-min", type=int, default=None)
     p.add_argument("--genus-max", type=int, default=None)
-    p.add_argument("--max-den", type=int, default=None, help="grid suites (all but oracle)")
+    p.add_argument("--max-den", type=int, default=None, help="inclusions and sigma suites (all passes it to them)")
     p.add_argument("--max-rank", type=int, default=None, help="oracle suite")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

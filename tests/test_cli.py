@@ -273,7 +273,7 @@ CLI_TEXTS = [
     ("enumerate -h", "db91e7ec664b6b67176d4b9545903255e327a1eddcc75822d8c8074bb573e11e"),
     ("enumerate --nope", "691a6cfdc00edda598e67bbd191ee8289ec84fba22f87e3b9f5093f88910f8a1"),
     ("verify", "dbfb426ded31fede7e5e8e15729d8cdb87a892acca68202d3736257f679ff617"),
-    ("verify -h", "dd7d1fec21fbd23668a62555cd07bf81a8a3b3309a2c630540214f03272d6734"),
+    ("verify -h", "caa08cc61b21fe8235e516ae03b62260affa77bd2a1ff3417090be8dba14db79"),
     ("verify --nope", "dbfb426ded31fede7e5e8e15729d8cdb87a892acca68202d3736257f679ff617"),
     ("compare", "37bd73a1ca853bd31633a6a12683366e5849585f95496965f6d8a82f0bb52aec"),
     ("compare -h", "acdd86a8d833f5746a18adc8ccf5afefbb3d46020f943100508f2fb6711b43ee"),

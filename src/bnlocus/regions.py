@@ -18,7 +18,11 @@ its Teixidor test in :class:`_IntScale`) holds the one body of the assembled,
 Teixidor and hyperelliptic regions and of the four tile shapes; the same
 code runs on integers at the sweeps' common denominator D, on the oracle's
 triples at D = n, and on ``Fraction`` points at D = 1, which is all the
-public functions do after checking their input.  :func:`hyper_strip` and
+public functions do after checking their input.  The assembled region's left
+half is stated once, as a column: over each abscissa, the heights under one
+line (strictly or not) minus at most one point; the region is the union of
+that column at a point and at its dual, so a sweep resolves the columns of
+a slope once and tests each height against them.  :func:`hyper_strip` and
 :func:`hyper_window` take a scale the same way.  The tile-union, preimage,
 duality and membership-bitmap tests are the independent checks of these
 bodies.
@@ -540,10 +544,16 @@ class _IntBoundary:
         den, n, k = self.line_at(M)
         return _exact(n * M + k, den)
 
-    def below(self, M: int, L: int) -> bool:
-        """L <= boundary(M), at scale D."""
-        den, n, k = self.line_at(M)
-        return den * L <= n * M + k
+
+def _in_column(column: tuple | None, L) -> bool:
+    """Whether the height L lies in a column (den, num, strict, hole) of
+    :meth:`_IntKernel._left_column`; None holds no height."""
+    if column is None:
+        return False
+    den, num, strict, hole = column
+    # hole is tested with `is` first: a Fraction compared with None costs
+    # more than the rest of the test
+    return 0 < L and (den * L < num if strict else den * L <= num) and (hole is None or L != hole)
 
 
 class _IntScale:
@@ -595,9 +605,14 @@ class _IntKernel(_IntScale):
     and the four shifted/reflected tile tests, which call it at D = 1 on
     their ``Fraction`` point; the sweeps call it on integers at a common
     denominator, building no Fraction.  The tables are derived from
-    :func:`bmno_tiles` and :func:`bmno_boundary`: :meth:`in_bmno` is the
+    :func:`bmno_tiles` and :func:`bmno_boundary`.  The assembled region's
+    left half has one body, :meth:`_left_column`: over an abscissa, the
     closed form over the seesaw, the chain levels and the threshold columns,
-    and every tile is the T- or U-image of the first BGN or M tile.
+    as one line, its strictness and one excluded height.  :meth:`in_bmno`
+    tests a point's column and then its dual's; :meth:`bmno_column` bundles
+    both columns of an abscissa, so that a sweep tests many heights of one
+    slope with :meth:`in_bmno_col`.  Every tile is the T- or U-image of the
+    first BGN or M tile.
     """
 
     def __init__(self, g: int, scale: int):
@@ -608,18 +623,19 @@ class _IntKernel(_IntScale):
         tiles = bmno_tiles(g)  # the BGN tile at 0, then the M tile at 1
         self._base = {t.base: _IntTile.of(t, scale) for t in tiles[:2]}
         self.f = _IntBoundary(bmno_boundary(g), scale)
-        # integer slope M -> its chain level L; threshold column M -> its section count s
+        # integer slope M -> its chain level L; a threshold column M -> its
+        # section count s, and the abscissa one past it -> the height of the
+        # corner (threshold+1, s), in one table so that one lookup of an
+        # abscissa gives (s or None, corner height or None)
         self._levels = {a * scale: s * scale for a, s in _chain_levels(g).items()}
-        self._columns = {a * scale: s for a, s in _threshold_columns(g).items()}
+        columns = {a * scale: s for a, s in _threshold_columns(g).items()}
+        corners = {a + scale: s * scale for a, s in columns.items()}
+        self._columns = {M: (columns.get(M), corners.get(M)) for M in columns.keys() | corners.keys()}
         self._hyper = [None] + [(self.shifted_tile("bgn", 2 * s - 2, s), self.shifted_tile("m", 2 * s - 2, s))
                                 for s in range(1, g)]
 
     def scaled(self, fn: BoundaryFn) -> _IntBoundary:
         return _IntBoundary(fn, self.D)
-
-    def at_scale(self, x) -> int:
-        """x*D; raises unless the rational x is a multiple of 1/D."""
-        return _at_scale(x, self.D)
 
     def shifted_tile(self, kind: str, d_shift: int, s: int) -> _IntTile:
         """:func:`in_translated_bgn` (kind 'bgn') or :func:`in_translated_m` (kind 'm')."""
@@ -631,43 +647,72 @@ class _IntKernel(_IntScale):
         """:func:`in_u_bgn_half` (kind 'bgn') or :func:`in_u_m_half` (kind 'm')."""
         return self.shifted_tile(kind, d_shift, s).reflected(self.gd)
 
-    def _left_half(self, M: int, L: int, stable: bool, semistable: bool) -> bool:
+    def _left_column(self, M: int, stable: bool, semistable: bool) -> tuple | None:
+        """The left polygon over the abscissa M as (den, num, strict, hole): a
+        height L lies in it iff 0 < L, den*L < num (den*L <= num unless
+        strict) and L != hole.  None when it holds no height over M.
+
+        STABLE: strictly below the chain level at an integer slope, on or
+        under the seesaw elsewhere.  SEMISTABLE: on or under the seesaw, or
+        the threshold column's height s where that is higher.
+        NON_HYPERELLIPTIC: on or under the seesaw, capped at (s-1)(g+1)/g on
+        a threshold column, minus the corner (threshold+1, s)."""
         D = self.D
-        if not (0 <= M <= self.gd and 0 < L):
-            return False
+        if not 0 <= M <= self.gd:
+            return None
         if stable:
             if M % D == 0:
-                return 0 < M and L < self._levels[M]
-            return self.f.below(M, L)
-        s = self._columns.get(M)
-        if semistable and s is not None and L <= s * D:
-            return True
-        if M == 0 or not self.f.below(M, L):
-            return False
+                return (1, self._levels[M], True, None) if M else None
+            den, n, k = self.f.line_at(M)
+            return den, n * M + k, False, None
+        s, corner = self._columns.get(M, (None, None))
+        if M == 0:  # the seesaw's domain is open at 0
+            return (1, s * D, False, None) if semistable else None
+        den, n, k = self.f.line_at(M)
+        num = n * M + k
         if semistable:
-            return True
-        if s is not None and self.g * L > (s - 1) * (self.g + 1) * D:
-            return False
-        if L % D == 0:
-            sc = self._columns.get(M - D)
-            if sc is not None and L == sc * D:
-                return False
-        return True
+            return den, num if s is None else max(num, s * D * den), False, None
+        if s is not None:
+            cap = (s - 1) * (self.g + 1) * D  # g*L <= cap
+            if cap * den < num * self.g:
+                den, num = self.g, cap
+        return den, num, False, corner
+
+    def _corner(self, M: int, stable: bool):
+        """The height of the genus-3 point (2, 1) over M in STABLE mode, else None."""
+        return self.D if stable and self.g == 3 and M == 2 * self.D else None
 
     def in_bmno(self, M: int, L: int, mode: BmnoMode) -> bool:
         # the modes are resolved once here: an Enum member lookup costs more
-        # than the rest of a typical left-half test
+        # than the rest of a typical column test
         stable, semistable = mode is BmnoMode.STABLE, mode is BmnoMode.SEMISTABLE
         # the region is (left polygon) union its reflection; the reflected part
-        # is bounded below by the image of lam > 0, so test the left-half
-        # formula at the point and at its dual rather than the seesaw over the
-        # whole range
-        if self._left_half(M, L, stable, semistable):
+        # is bounded below by the image of lam > 0, so test the left polygon's
+        # column at the point and, only when that misses, at its dual.  A
+        # column is built only under a positive height: at scale 1 that costs
+        # several Fraction operations
+        if 0 < L and _in_column(self._left_column(M, stable, semistable), L):
             return True
         SM, SL = self.dual(M, L)
-        if self._left_half(SM, SL, stable, semistable):
+        if 0 < SL and _in_column(self._left_column(SM, stable, semistable), SL):
             return True
-        return stable and self.g == 3 and (M, L) == (2 * self.D, self.D)
+        corner = self._corner(M, stable)
+        return corner is not None and L == corner
+
+    def bmno_column(self, M: int, mode: BmnoMode) -> tuple:
+        """The assembled region over the abscissa M, for :meth:`in_bmno_col`:
+        the left polygon's columns at M and at the dual abscissa 2gd - M, the
+        shift gd - M that takes a height to its dual's, and the genus-3 point."""
+        stable, semistable = mode is BmnoMode.STABLE, mode is BmnoMode.SEMISTABLE
+        return (self._left_column(M, stable, semistable), self._left_column(2 * self.gd - M, stable, semistable),
+                self.gd - M, self._corner(M, stable))
+
+    @staticmethod
+    def in_bmno_col(column: tuple, L: int) -> bool:
+        """:meth:`in_bmno` at the height L over the abscissa of ``column``, a
+        :meth:`bmno_column`."""
+        own, dual, shift, corner = column
+        return _in_column(own, L) or _in_column(dual, L + shift) or (corner is not None and L == corner)
 
     def in_bmno_h(self, M: int, L: int) -> bool:
         D, gd = self.D, self.gd

@@ -14,11 +14,15 @@ offsets around them covers every case a blind denominator grid would reach.
 The duality and inclusion sweeps run in integers.  With the height offset
 1/(c*g), each genus takes the common denominator D = g*lcm(1..max_den, c),
 at which every sampled slope, boundary value, tile top and offset is an
-integer; a sample that is not a multiple of 1/D raises.  Every
+integer; a sample that is not a multiple of 1/D raises.  The slopes come
+from :func:`_scaled_grid`, the rational grid built directly at scale D,
+which raises unless every denominator up to max_den divides D.  Every
 membership test then goes through the kernel of :mod:`bnlocus.regions`,
 built once per genus at scale D: the one body of each region and tile,
-which the public Fraction functions run at scale 1.  Points are turned back
-into Fractions only to write a failure record.
+which the public Fraction functions run at scale 1.  The duality sweep
+resolves the assembled region over each slope and its dual once per mode,
+as columns, and tests every sampled height against them.  Points are turned
+back into Fractions only to write a failure record.
 """
 from __future__ import annotations
 
@@ -115,6 +119,20 @@ def rationals_between(lo, hi, max_den: int, include_lo=False, include_hi=False) 
             if (lo < x or (include_lo and x == lo)) and (x < hi or (include_hi and x == hi)):
                 out.add(x)
             p += 1
+    return sorted(out)
+
+
+def _scaled_grid(lo: int, hi: int, max_den: int, D: int,
+                 include_lo: bool = False, include_hi: bool = False) -> list[int]:
+    """``[x*D for x in rationals_between(lo, hi, max_den, include_lo, include_hi)]``
+    for integers lo and hi, built in integers: the multiples of D/q from lo*D
+    to hi*D for each q <= max_den.  Raises unless every such q divides D."""
+    out = set()
+    for q in range(1, max_den + 1):
+        step, r = divmod(D, q)
+        if r:
+            raise ValueError(f"1/{q} is not a multiple of 1/{D}")
+        out.update(range(lo * D if include_lo else lo * D + step, hi * D + 1 if include_hi else hi * D, step))
     return sorted(out)
 
 
@@ -233,13 +251,12 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
     delta = D // (8 * g)
 
     def cover(dp, s, mus, tiles, levels, facts):
-        """One check per point: each slope in mus, at heights around the
+        """One check per point: each scaled slope in mus, at heights around the
         tiles' tops and the integer levels.  A fact (i, j, (a, h), expected,
         observed) says that a point of tiles[i] lies in tiles[j] or on the
         sliver {mu = a, 0 < lam < h}; tiles[j] is tested only at the points
         of tiles[i]."""
-        for mu in mus:
-            M = k.at_scale(mu)
+        for M in mus:
             for L in _lam_samples([t.top(M) for t in tiles] + [x * D for x in levels], delta):
                 rep.checks_run += 1
                 for i, j, sliver, expected, observed in facts:
@@ -250,7 +267,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
     # chain: shifted-BGN inside shifted-M inside next shifted-BGN
     for s in range(1, g):
         for dp in range(0, g - 2):
-            cover(dp, s, rationals_between(dp + 1, dp + 2, max_den, include_hi=True),
+            cover(dp, s, _scaled_grid(dp + 1, dp + 2, max_den, D, include_hi=True),
                   [k.shifted_tile("bgn", dp + 1, s), k.shifted_tile("m", dp, s),
                    k.shifted_tile("bgn", dp + 1, s + 1)], (s, s + 1),
                   [(0, 1, None, "inner tile inside shifted-M", "outside"),
@@ -267,7 +284,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
             rep.checks_run += 1
             if d1 - 1 < line_degree_bound_int(g, s1):
                 rep.record(f"g={g} d'={dp} s={s}", "d1-1 above the threshold", f"d1={d1}")
-            cover(dp, s, rationals_between(d1 - 1, d1, max_den, include_lo=True),
+            cover(dp, s, _scaled_grid(d1 - 1, d1, max_den, D, include_lo=True),
                   [k.reflected_tile("m", dp, s), k.shifted_tile("bgn", d1 - 1, s1)], (s1 - 1, s1),
                   [(0, 1, (d1 - 1, s1 - 1), "reflected-M point covered", "uncovered")])
 
@@ -277,7 +294,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
             d1, s1 = u_params(g, dp, s)
             if d1 < line_degree_bound_int(g, s1 + 1):
                 continue
-            cover(dp, s, rationals_between(d1, d1 + 1, max_den, include_lo=True),
+            cover(dp, s, _scaled_grid(d1, d1 + 1, max_den, D, include_lo=True),
                   [k.reflected_tile("bgn", dp, s), k.shifted_tile("bgn", d1, s1 + 1)], (s1, s1 + 1),
                   [(0, 1, (d1, s1), "reflected-BGN point covered", "uncovered")])
 
@@ -288,7 +305,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
             d1, s1 = u_params(g, dp, s)
             if s1 < 1 or d1 + 1 != line_degree_bound_int(g, s1 + 1) or d1 + 1 > g - 1:
                 continue
-            cover(dp, s, rationals_between(d1, d1 + 1, max_den, include_hi=True),
+            cover(dp, s, _scaled_grid(d1, d1 + 1, max_den, D, include_hi=True),
                   [k.shifted_tile("m", d1 - 1, s1), k.reflected_tile("bgn", dp, s)], (s1 - 1, s1),
                   [(0, 1, (d1 + 1, s1), "last chain tile inside the replacement", "uncovered")])
 
@@ -310,25 +327,26 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
     delta = D // (max(8, max_den) * g)
     modes, stabilities = list(BmnoMode), list(Stability)
 
-    for mu in rationals_between(0, 2 * g - 2, max_den):
-        M = k.at_scale(mu)
+    for M in _scaled_grid(0, 2 * g - 2, max_den, D):
         fv, tv, hv = f.value(M), t.value(M), h.value(M)
         # graph of the assembled boundary is its own reflection
         rep.checks_run += 1
         ref = f.value(2 * k.gd - M) + M - k.gd
         if ref != fv:
-            rep.record(f"g={g} mu={format_rat(mu)}", "reflection-invariant boundary",
+            rep.record(f"g={g} mu={format_rat(Fraction(M, D))}", "reflection-invariant boundary",
                        f"{format_rat(Fraction(fv, D))} vs {format_rat(Fraction(ref, D))}")
         top = -(-max(fv, tv, hv) // D)
         levels = [x * D for x in range(1, min(g, top + 2) + 1)]
+        # each mode's region over the slope and over its dual, resolved once
+        columns = [(mode, k.bmno_column(M, mode), k.bmno_column(2 * k.gd - M, mode)) for mode in modes]
         for L in _lam_samples([fv, tv, hv] + levels, delta):
             SM, SL = k.dual(M, L)
             rep.checks_run += 1
             if k.rho_tilde(M, L) != k.rho_tilde(SM, SL):
                 rep.record(f"g={g} p={_point(M, L, D)}", "rho~ invariant", "differs")
-            for mode in modes:
+            for mode, column, dual_column in columns:
                 rep.checks_run += 1
-                if k.in_bmno(M, L, mode) != k.in_bmno(SM, SL, mode):
+                if k.in_bmno_col(column, L) != k.in_bmno_col(dual_column, SL):
                     rep.record(f"g={g} p={_point(M, L, D)} mode={mode.value}", "membership invariant", "differs")
             if SL > 0:
                 for st in stabilities:

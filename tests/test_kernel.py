@@ -6,7 +6,9 @@ Fraction functions run it on their point at D = 1.  These tests hold the
 two scales together, on the grid and on every edge, corner, sliver and
 threshold column where the strict and weak inequalities differ, so a body
 that used a Fraction-only or an integer-only operation would fail here.
-The bodies themselves are checked independently by the tile-union,
+The assembled region's per-slope columns, which the duality sweep reads,
+are held to its point test the same way.  The bodies themselves are
+checked independently by the tile-union,
 preimage, duality and membership-bitmap tests.
 """
 import math
@@ -31,6 +33,7 @@ from bnlocus.regions import (
     in_u_m_half,
     teixidor_boundary,
 )
+from bnlocus.sweep import _scaled_grid
 
 TILE_TESTS = (
     (in_translated_bgn, "shifted_tile", "bgn"),
@@ -52,6 +55,7 @@ def _check_regions(k, M, L):
     assert Fraction(k.rho_tilde(M, L), D * D) == rho_tilde(g, p)
     for mode in BmnoMode:
         assert k.in_bmno(M, L, mode) == in_bmno(g, p, mode), (p, mode)
+        assert k.in_bmno_col(k.bmno_column(M, mode), L) == k.in_bmno(M, L, mode), (p, mode)
     for stability in Stability:
         if L > 0:
             assert k.in_teixidor(M, L, stability) == in_teixidor(g, p, stability), (p, stability)
@@ -183,9 +187,9 @@ def test_kernel_boundary_values(case):
 
 
 def test_kernel_rejects_points_off_the_denominator():
-    k = _IntKernel(4, 4 * 840)
-    assert k.at_scale(Fraction(3, 7)) == 3 * 4 * 120
+    D = 4 * 840
+    assert 3 * 4 * 120 in _scaled_grid(0, 1, 7, D)
     with pytest.raises(ValueError):
-        k.at_scale(Fraction(1, 9))
+        _scaled_grid(0, 1, 9, D)
     with pytest.raises(ValueError):
-        k.shifted_tile("bgn", 0, 0)
+        _IntKernel(4, D).shifted_tile("bgn", 0, 0)

@@ -1,5 +1,7 @@
 """Verification sweeps: small-scale runs, determinism, tables, comparisons."""
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from bnlocus.oracle import CurveClass, Verdict
 from bnlocus.sweep import (
     CSV_HEADER,
+    _scaled_grid,
     classification_csv,
     compare_regions,
     enumerate_classifications,
@@ -27,6 +30,26 @@ def test_rationals_between():
     xs = rationals_between(0, 1, 3, include_lo=True, include_hi=True)
     assert xs[0] == 0 and xs[-1] == 1
     assert rationals_between(F(1, 2), F(1, 2), 4) == []
+
+
+def test_scaled_grid_matches_rationals_between():
+    """The sweeps' integer slope grid is the rational grid scaled by D, and it
+    raises when a denominator up to max_den does not divide D, so that a
+    sample off the grid raises rather than being rounded."""
+    D = 2 * math.lcm(*range(1, 13))
+    for lo in range(0, 6):
+        for hi in range(lo + 1, 7):
+            for max_den in range(1, 13):
+                for flags in itertools.product((False, True), repeat=2):
+                    want = [x * D for x in rationals_between(lo, hi, max_den, *flags)]
+                    assert _scaled_grid(lo, hi, max_den, D, *flags) == want, (lo, hi, max_den, flags)
+    for D in range(1, 61):
+        for max_den in range(1, 13):
+            if all(D % q == 0 for q in range(1, max_den + 1)):
+                assert _scaled_grid(0, 1, max_den, D) == [x * D for x in rationals_between(0, 1, max_den)]
+            else:
+                with pytest.raises(ValueError):
+                    _scaled_grid(0, 1, max_den, D)
 
 
 def test_prop_boundary_gap_small():

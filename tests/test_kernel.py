@@ -7,9 +7,9 @@ two scales together, on the grid and on every edge, corner, sliver and
 threshold column where the strict and weak inequalities differ, so a body
 that used a Fraction-only or an integer-only operation would fail here.
 The assembled region's per-slope columns, which the duality sweep reads,
-are held to its point test the same way.  The bodies themselves are
-checked independently by the tile-union,
-preimage, duality and membership-bitmap tests.
+are held to its point test at the same points.  The bodies themselves are
+checked independently by the tile-union, preimage, duality and
+membership-bitmap tests.
 """
 import math
 from fractions import Fraction

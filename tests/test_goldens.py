@@ -205,6 +205,16 @@ def test_enumerate_golden(g):
     assert _digest(lines) == ENUMERATE[g]
 
 
+def test_enumerate_golden_benchmark_table():
+    """The enumerate CSV of the benchmark's oracle table: genus 9, rank <= 3,
+    arbitrary curves, stable bundles (2,070 rows)."""
+    rows = enumerate_classifications(9, 3, CurveClass.ARBITRARY, Stability.STABLE)
+    assert len(rows) == 2070
+    csv = classification_csv(rows)
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == \
+        "e6434a2b818e524c5a2263a8737f5677e3be2dc59658680eba23e9a74fabd482"
+
+
 TABLE_EVIDENCE = {
     2: "62acad914fe3fff387251398dccf5a8a81938930acf095c293249c111632639d",
     3: "37fd9385f33d05516a011c5146a4ecedc42dfe136e588712118bf653e80b5895",

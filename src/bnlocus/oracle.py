@@ -48,6 +48,7 @@ items, more than the 6,516 distinct ones of ``verify_oracle(6, 5)``, and
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -186,7 +187,9 @@ def _nonhyper_rules_allowed(g: int, c: CurveClass) -> bool:
 # ---------------------------------------------------------------------------
 # individual rules; each takes a column (g, n, d) and a range ks of section
 # counts, and returns (first k, past-the-end k, Evidence) for each run of k
-# where it fires.  Runs may reach past ks: the engine clips them.
+# where it fires, one run per stretch of k with the same item: a test that
+# holds on a prefix of k is bisected (_prefix_stop), not tried at each k.
+# Runs may reach past ks: the engine clips them.
 # ---------------------------------------------------------------------------
 
 
@@ -387,16 +390,30 @@ def _rule_fractional_fill(g, n, d, ks, c, m):
     return out
 
 
+def _prefix_stop(holds, lo: int, hi: int) -> int:
+    """The first k in lo..hi-1 where ``holds`` fails, or hi, by bisection:
+    ``holds`` must hold on a prefix of the range and nowhere after it."""
+    return lo + bisect_left(range(lo, hi), True, key=lambda k: not holds(k))
+
+
 def _rule_teixidor(g, n, d, ks, c, m):
-    if g < 3 or d < 0:
+    """At a fixed degree the semistable test holds exactly for k = 1..top,
+    since the normalized count rises with the slope and is nonnegative on an
+    interval of heights from 0; so top is found by bisection.  The stable test
+    differs only at the lattice points n | d, n | k, which split the run."""
+    lo = max(ks.start, 1)
+    if g < 3 or d < 0 or lo >= ks.stop:
         return []
     scale = _IntScale(g, n)  # the triple's point is (d, k) at scale n
-    out = []
-    for k in range(max(ks.start, 1), ks.stop):
-        if scale.in_teixidor(d, k, m):
-            out.append((k, k + 1, _ev("teixidor", "nonempty",
-                                      "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)")))
-    return out
+    stop = _prefix_stop(lambda k: scale.in_teixidor(d, k, Stability.SEMISTABLE), lo, ks.stop)
+    bounds = [lo]  # each run's first and past-the-end k, in turn
+    if m is Stability.STABLE and d % n == 0:
+        for k in range(-(-lo // n) * n, stop, n):
+            if scale.teixidor_hole(d, k):
+                bounds += (k, k + 1)
+    bounds.append(stop)
+    ev = _ev("teixidor", "nonempty", "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)")
+    return [(first, past, ev) for first, past in zip(bounds[::2], bounds[1::2]) if first < past]
 
 
 def _rule_hyper_bounds(g, n, d, ks, c, m):
@@ -426,14 +443,14 @@ def _rule_hyper_bounds(g, n, d, ks, c, m):
 def _rule_hyper_strips(g, n, d, ks, c, m):
     if not _hyper_rules_allowed(g, c) or d < 0:
         return []
-    out = []
-    for k in range(max(ks.start, 1), ks.stop):
-        strip = hyper_strip(g, d, k, n)
-        if strip is not None:
-            s, dual = strip
-            cite = ("duality image of the settled hyperelliptic band" if dual
-                    else "settled hyperelliptic band below the integer section level")
-            out.append((k, k + 1, _ev("hyper_strip", "nonempty", cite, s=s)))
+    out, lo = [], max(ks.start, 1)
+    strip = hyper_strip(g, d, lo, n) if lo < ks.stop else None
+    if strip is not None:  # over d/n the strip is one band k = 1..top, with one (s, dual)
+        s, dual = strip
+        cite = ("duality image of the settled hyperelliptic band" if dual
+                else "settled hyperelliptic band below the integer section level")
+        out.append((lo, _prefix_stop(lambda k: hyper_strip(g, d, k, n) is not None, lo + 1, ks.stop),
+                    _ev("hyper_strip", "nonempty", cite, s=s)))
     if d % n == 0 and (d // n) % 2 == 1:  # integral odd slope 2s-1
         s = (d // n + 1) // 2
         if 1 <= s <= g - 1:
@@ -552,18 +569,27 @@ def _base_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: Sta
 
 
 def _dichotomy_runs(g: int, n: int, d: int, ks: range, c: CurveClass, m: Stability) -> list:
-    """The curve dichotomy as a rule: one-k runs where both sides agree, or with the error of a side."""
+    """The curve dichotomy as a rule: one run per stretch of k where both
+    sides agree with the same two verdicts, whose item is the same at every k
+    of it, and a one-k run with the error of a side."""
     if c is not CurveClass.ARBITRARY or g < 3:
         return []
     cite = "every curve is hyperelliptic or not, and both cases agree"
-    out = []
+    out, last = [], None  # last: the two verdicts of the run ending at k, if it may grow
     for k, hyp, non in zip(ks, _serre_column(g, n, d, ks.start, ks.stop, CurveClass.HYPERELLIPTIC, m)[0],
                            _serre_column(g, n, d, ks.start, ks.stop, CurveClass.NON_HYPERELLIPTIC, m)[0]):
         if type(hyp) is ContradictionError or type(non) is ContradictionError:
             out.append((k, k + 1, hyp if type(hyp) is ContradictionError else non))
+            last = None
         elif (hyp is Verdict.EMPTY and non is Verdict.EMPTY) or (hyp in _NONEMPTY and non in _NONEMPTY):
-            out.append((k, k + 1, _ev("curve_dichotomy", "empty" if hyp is Verdict.EMPTY else "nonempty", cite,
-                                      hyperelliptic=hyp.value, non_hyperelliptic=non.value)))
+            if last == (hyp, non):
+                out[-1] = (out[-1][0], k + 1, out[-1][2])
+            else:
+                out.append((k, k + 1, _ev("curve_dichotomy", "empty" if hyp is Verdict.EMPTY else "nonempty",
+                                          cite, hyperelliptic=hyp.value, non_hyperelliptic=non.value)))
+                last = hyp, non
+        else:
+            last = None
     return out
 
 

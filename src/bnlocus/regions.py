@@ -591,11 +591,15 @@ class _IntScale:
             ok = self.rho_tilde(floor_mu, floor_lam + D) >= 0
         if not ok:
             return False
-        if stability is Stability.STABLE and L == floor_lam and M == floor_mu:
-            dual_mu, dual_lam = self.dual(M, L)
-            if self.rho_tilde(M - D, L) < 0 and self.rho_tilde(dual_mu - D, dual_lam) < 0:
-                return False
-        return True
+        return stability is not Stability.STABLE or L != floor_lam or M != floor_mu \
+            or not self.teixidor_hole(M, L)
+
+    def teixidor_hole(self, M: int, L: int) -> bool:
+        """Whether the stable test removes the lattice point (M, L), D | M and
+        D | L, from the semistable region: neither it nor its dual has a
+        nonnegative count one step to the left."""
+        dual_mu, dual_lam = self.dual(M, L)
+        return self.rho_tilde(M - self.D, L) < 0 and self.rho_tilde(dual_mu - self.D, dual_lam) < 0
 
 
 class _IntKernel(_IntScale):

@@ -437,17 +437,30 @@ def enumerate_classifications(g: int, n_max: int,
     return out
 
 
+# per verdict: its CSV text, and the evidence kind whose first item is the row's rule (None: no rule)
+_CSV_VERDICT = {v: (v.value, kind) for v, kind in (
+    (Verdict.WHOLE_SPACE, "wholespace"), (Verdict.NON_EMPTY, "nonempty"), (Verdict.EMPTY, "empty"),
+    (Verdict.UNKNOWN, None))}
+
+
+def _ratio(a: int, n: int) -> str:
+    """a/n as :func:`format_rat` prints it, for n >= 1, from the integers."""
+    q = math.gcd(a, n)
+    return str(a // q) if q == n else f"{a // q}/{n // q}"
+
+
 def classification_csv(rows: list[Classification]) -> str:
     """RFC-4180 CSV with a header row; the rule column holds the first piece
-    of evidence matching the verdict (empty for Unknown)."""
+    of evidence matching the verdict (empty for Unknown).  mu, lambda and rho
+    are written from the integers of each row."""
     lines = [CSV_HEADER]
     for r in rows:
-        want = {"WholeSpace": "wholespace", "NonEmpty": "nonempty", "Empty": "empty"}.get(r.verdict.value)
+        g, t = r.genus, r.triple
+        n, d, k = t.n, t.d, t.k
+        verdict, want = _CSV_VERDICT[r.verdict]
         rule = next((e.rule for e in r.evidence if e.kind == want), "") if want else ""
-        lines.append(
-            f"{r.genus},{r.triple.n},{r.triple.d},{r.triple.k},"
-            f"{format_rat(r.mu)},{format_rat(r.lam)},{r.verdict.value},{rule},{r.rho}"
-        )
+        rho = n * n * (g - 1) + 1 - k * (k - d + n * (g - 1))  # arith.rho
+        lines.append(f"{g},{n},{d},{k},{_ratio(d, n)},{_ratio(k, n)},{verdict},{rule},{rho}")
     return "\r\n".join(lines) + "\r\n"
 
 

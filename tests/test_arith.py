@@ -1,5 +1,6 @@
 """Exact-arithmetic core: worked examples and algebraic properties."""
 import math
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from bnlocus.arith import (
     Triple,
     bn_curve,
     bn_curve_gap_cmp,
+    check_int,
     format_rat,
     hyper_h0_bound,
     hyper_window,
@@ -118,6 +120,19 @@ def test_triple_validation():
         Triple(0, 1, 1)
     with pytest.raises(TypeError):
         Triple(1, Fraction(1, 2), 1)
+
+
+def test_check_int_rejects_bool_and_accepts_int_subclasses():
+    """The exact-int fast path changes nothing: a bool is still rejected,
+    and an int subclass such as an IntEnum still passes."""
+    Rank = IntEnum("Rank", {"TWO": 2})
+    check_int("n", Rank.TWO)
+    assert Triple(Rank.TWO, 3, 1).n == 2
+    for bad in (True, False, 2.0, Fraction(2), "2", None):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            check_int("n", bad)
+    with pytest.raises(TypeError):
+        Triple(1, True, 1)
 
 
 @given(genera, small_rat, small_rat)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnlocus import oracle
 from bnlocus.arith import Stability, Triple, hyper_window, serre_dual_triple
-from bnlocus.oracle import ContradictionError, CurveClass, classify, classify_column
+from bnlocus.oracle import ContradictionError, CurveClass, Verdict, classify, classify_column
 from bnlocus.regions import _IntScale, hyper_strip, in_teixidor
 from bnlocus.sweep import enumerate_classifications, verify_oracle
 
@@ -167,3 +168,96 @@ def test_table_reports_the_same_contradictions(inject_empty, c, only):
     report = verify_oracle(g, 1, g)
     recorded = [(f.input, f.observed) for f in report.failures if f.expected == "consistent evidence"]
     assert recorded == [(f"g={g} {t} {cc.value} {m.value}", text) for cc, m, t, text in texts]
+
+
+# ---------------------------------------------------------------------------
+# the run-form rules against their per-k reference bodies
+# ---------------------------------------------------------------------------
+
+_TEIXIDOR_CITE = "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)"
+
+
+def _per_k_teixidor(g, n, d, ks, c, m):
+    if g < 3 or d < 0:
+        return []
+    scale = _IntScale(g, n)
+    return [(k, k + 1, oracle._ev("teixidor", "nonempty", _TEIXIDOR_CITE))
+            for k in range(max(ks.start, 1), ks.stop) if scale.in_teixidor(d, k, m)]
+
+
+def _per_k_hyper_strips(g, n, d, ks, c, m):
+    """The strip tested at each k, then the rule's other items, which are
+    the same in both forms."""
+    if not oracle._hyper_rules_allowed(g, c) or d < 0:
+        return []
+    out = []
+    for k in range(max(ks.start, 1), ks.stop):
+        strip = hyper_strip(g, d, k, n)
+        if strip is not None:
+            s, dual = strip
+            cite = ("duality image of the settled hyperelliptic band" if dual
+                    else "settled hyperelliptic band below the integer section level")
+            out.append((k, k + 1, oracle._ev("hyper_strip", "nonempty", cite, s=s)))
+    return out + [run for run in oracle._rule_hyper_strips(g, n, d, ks, c, m) if run[2].rule != "hyper_strip"]
+
+
+def _per_k_dichotomy(g, n, d, ks, c, m):
+    if c is not CurveClass.ARBITRARY or g < 3:
+        return []
+    cite = "every curve is hyperelliptic or not, and both cases agree"
+    out = []
+    for k, hyp, non in zip(ks, oracle._serre_column(g, n, d, ks.start, ks.stop, CurveClass.HYPERELLIPTIC, m)[0],
+                           oracle._serre_column(g, n, d, ks.start, ks.stop, CurveClass.NON_HYPERELLIPTIC, m)[0]):
+        if type(hyp) is ContradictionError or type(non) is ContradictionError:
+            out.append((k, k + 1, hyp if type(hyp) is ContradictionError else non))
+        elif (hyp is Verdict.EMPTY and non is Verdict.EMPTY) or (hyp in oracle._NONEMPTY and non in oracle._NONEMPTY):
+            out.append((k, k + 1, oracle._ev("curve_dichotomy", "empty" if hyp is Verdict.EMPTY else "nonempty", cite,
+                                             hyperelliptic=hyp.value, non_hyperelliptic=non.value)))
+    return out
+
+
+_RUN_FORMS = [
+    (_per_k_teixidor, oracle._rule_teixidor),
+    (_per_k_hyper_strips, oracle._rule_hyper_strips),
+    (_per_k_dichotomy, oracle._dichotomy_runs),
+]
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_run_form_rules_give_the_per_k_evidence(g):
+    """Each of the Teixidor, strip and dichotomy rules expands, through
+    ``_evidence``, to the evidence its per-k body gives at every k: over
+    rank <= 4, every degree of the table and one past each end, every valid
+    curve class and both stabilities, on the table's range R(d) and on its
+    middle third."""
+    for c in CurveClass:
+        if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
+            continue
+        for m in Stability:
+            for n in range(1, 5):
+                for d in range(-1, 2 * n * (g - 1) + 2):
+                    lo, hi = min(1, 1 + d - n * (g - 1)), max(n + d, n * g) + 1
+                    third = (hi - lo) // 3
+                    for ks in (range(lo, hi), range(lo + third, hi - third)):
+                        for per_k, runs in _RUN_FORMS:
+                            assert oracle._evidence(tuple(runs(g, n, d, ks, c, m)), ks) == \
+                                oracle._evidence(tuple(per_k(g, n, d, ks, c, m)), ks), (runs.__name__, c, m, n, d, ks)
+
+
+@pytest.mark.parametrize("g", range(3, 31))
+def test_teixidor_and_strip_columns_are_prefixes(g):
+    """What the run-form rules bisect on: at each rank n <= 8 and degree d
+    from 0 to 2n past the table, the k >= 1 where the semistable Teixidor
+    test holds, and those where a strip holds (with one (s, dual)), are
+    1..top.  Past the ranges tested neither can hold: the Teixidor test
+    fails for k >= d + n (where lam >= mu + 1 the count at the cell corner it
+    reads is negative), and a strip needs k <= min(d/2 + n, (g-1)n), which
+    the last k tested exceeds."""
+    for n in range(1, 9):
+        scale = _IntScale(g, n)
+        for d in range(0, 2 * n * (g - 1) + 2 * n + 1):
+            held = [k for k in range(1, d + n + 1) if scale.in_teixidor(d, k, Stability.SEMISTABLE)]
+            assert held == list(range(1, len(held) + 1)) and len(held) < d + n, (n, d)
+            strips = [hyper_strip(g, d, k, n) for k in range(1, min(d // 2 + n, (g - 1) * n) + 2)]
+            top = strips.index(None)
+            assert len(set(strips[:top])) <= 1 and not any(strips[top:]), (n, d)

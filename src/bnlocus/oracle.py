@@ -48,7 +48,6 @@ items, more than the 6,516 distinct ones of ``verify_oracle(6, 5)``, and
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -393,7 +392,13 @@ def _rule_fractional_fill(g, n, d, ks, c, m):
 def _prefix_stop(holds, lo: int, hi: int) -> int:
     """The first k in lo..hi-1 where ``holds`` fails, or hi, by bisection:
     ``holds`` must hold on a prefix of the range and nowhere after it."""
-    return lo + bisect_left(range(lo, hi), True, key=lambda k: not holds(k))
+    while lo < hi:  # every k < lo holds, and no k >= hi does
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _rule_teixidor(g, n, d, ks, c, m):
@@ -405,15 +410,18 @@ def _rule_teixidor(g, n, d, ks, c, m):
     if g < 3 or d < 0 or lo >= ks.stop:
         return []
     scale = _IntScale(g, n)  # the triple's point is (d, k) at scale n
-    stop = _prefix_stop(lambda k: scale.in_teixidor(d, k, Stability.SEMISTABLE), lo, ks.stop)
-    bounds = [lo]  # each run's first and past-the-end k, in turn
+    if not scale.in_teixidor(d, lo, Stability.SEMISTABLE):
+        return []
+    stop = _prefix_stop(lambda k: scale.in_teixidor(d, k, Stability.SEMISTABLE), lo + 1, ks.stop)
+    ev = _ev("teixidor", "nonempty", "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)")
+    out, first = [], lo
     if m is Stability.STABLE and d % n == 0:
         for k in range(-(-lo // n) * n, stop, n):
             if scale.teixidor_hole(d, k):
-                bounds += (k, k + 1)
-    bounds.append(stop)
-    ev = _ev("teixidor", "nonempty", "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)")
-    return [(first, past, ev) for first, past in zip(bounds[::2], bounds[1::2]) if first < past]
+                out.append((first, k, ev))
+                first = k + 1
+    out.append((first, stop, ev))
+    return out
 
 
 def _rule_hyper_bounds(g, n, d, ks, c, m):

@@ -563,7 +563,9 @@ class _IntScale:
     the one body of :func:`in_teixidor`: the kernel inherits it, the sweeps
     run it on integers at their common denominator, the oracle reads a
     rank-n triple (n, d, k) at D = n, where its point is (d, k), and
-    :func:`in_teixidor` reads a ``Fraction`` point at D = 1.
+    :func:`in_teixidor` reads a ``Fraction`` point at D = 1.  The stable test
+    is the semistable one less the lattice points :meth:`teixidor_hole`
+    names, which the oracle reads to split a semistable run of k.
     """
 
     __slots__ = ("g", "D", "gd")
@@ -591,8 +593,7 @@ class _IntScale:
             ok = self.rho_tilde(floor_mu, floor_lam + D) >= 0
         if not ok:
             return False
-        return stability is not Stability.STABLE or L != floor_lam or M != floor_mu \
-            or not self.teixidor_hole(M, L)
+        return stability is not Stability.STABLE or L != floor_lam or M != floor_mu or not self.teixidor_hole(M, L)
 
     def teixidor_hole(self, M: int, L: int) -> bool:
         """Whether the stable test removes the lattice point (M, L), D | M and

@@ -52,7 +52,7 @@ def format_rat(value) -> str:
 def check_int(name: str, v) -> None:
     """Raise TypeError unless v is an int (a bool is not; an int subclass
     such as an ``IntEnum`` is)."""
-    if type(v) is int:  # the common case, decided by one identity test
+    if type(v) is int:  # the common case
         return
     if not isinstance(v, int) or isinstance(v, bool):
         raise TypeError(f"{name} must be an integer, got {v!r}")

@@ -1,10 +1,12 @@
-"""The oracle's integer forms at scale n against scale 1, and its
-contradiction report.
+"""The oracle's integer forms at scale n against scale 1, its contradiction
+report, and its run-form rules against their per-k bodies.
 
 The oracle reads a rank-n triple (n, d, k) at scale D = n, where its point
 (d/n, k/n) is (d, k).  Each test it calls must answer at D = n what the
 Fraction function answers on ``t.point()`` at D = 1: the Teixidor
 membership, the hyperelliptic strip and the hyperelliptic slope window.
+The Teixidor, strip and dichotomy rules give one run per stretch of k; they
+must give, at every k, the evidence of the per-k bodies kept here.
 """
 from fractions import Fraction
 
@@ -174,14 +176,13 @@ def test_table_reports_the_same_contradictions(inject_empty, c, only):
 # the run-form rules against their per-k reference bodies
 # ---------------------------------------------------------------------------
 
-_TEIXIDOR_CITE = "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)"
-
 
 def _per_k_teixidor(g, n, d, ks, c, m):
     if g < 3 or d < 0:
         return []
     scale = _IntScale(g, n)
-    return [(k, k + 1, oracle._ev("teixidor", "nonempty", _TEIXIDOR_CITE))
+    cite = "parallelogram existence criterion (Teixidor i Bigas; refined by Mercat)"
+    return [(k, k + 1, oracle._ev("teixidor", "nonempty", cite))
             for k in range(max(ks.start, 1), ks.stop) if scale.in_teixidor(d, k, m)]
 
 

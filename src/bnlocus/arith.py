@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
 Rat = Fraction
+
+# builds a namedtuple subclass from fields its own ``__new__`` has checked,
+# without a second pass through the generated ``__new__``
+_tuple_new = tuple.__new__
 
 _RAT_PATTERN = re.compile(r"\A[+-]?\d+(?:/\d+)?\Z")
 
@@ -49,6 +53,12 @@ def format_rat(value) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
+def _slot_repr(self) -> str:
+    """``Name(field=value, ...)`` over the class's ``__slots__``: the repr of
+    the records that are not tuples, in the form a namedtuple prints."""
+    return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+
 def check_int(name: str, v) -> None:
     """Raise TypeError unless v is an int (a bool is not; an int subclass
     such as an ``IntEnum`` is)."""
@@ -65,19 +75,18 @@ def check_genus(g: int, minimum: int = 2) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class BNPoint:
+class BNPoint(namedtuple("BNPoint", "mu lam")):
     """A point (mu, lambda) of the slope plane; may lie outside the pentagon."""
 
-    mu: Fraction
-    lam: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "lam", Fraction(self.lam))
+    def __new__(cls, mu, lam):
+        return _tuple_new(cls, cls.__post_init__(mu, lam))
 
-    def __iter__(self):
-        return iter((self.mu, self.lam))
+    @staticmethod
+    def __post_init__(mu, lam) -> tuple[Fraction, Fraction]:
+        """The coordinates as Fractions; runs once per point built."""
+        return Fraction(mu), Fraction(lam)
 
     def __str__(self):
         return f"({format_rat(self.mu)}, {format_rat(self.lam)})"
@@ -92,19 +101,18 @@ def point(mu, lam) -> BNPoint:
     return BNPoint(Fraction(mu), Fraction(lam))
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(namedtuple("Triple", "n d k")):
     """A bundle problem: rank n >= 1, degree d, required sections k."""
 
-    n: int
-    d: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("n", "d", "k"):
-            check_int(name, getattr(self, name))
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.n}")
+    def __new__(cls, n, d, k):
+        check_int("n", n)
+        check_int("d", d)
+        check_int("k", k)
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
+        return _tuple_new(cls, (n, d, k))
 
     @property
     def mu(self) -> Fraction:
@@ -209,8 +217,7 @@ def hyper_h0_bound(g: int, s: int, n: int, d: int) -> Fraction:
     return s * n + Fraction(s, g) * (d - (2 * s - 1) * n)
 
 
-@dataclass(frozen=True)
-class BNCurveValue:
+class BNCurveValue(namedtuple("BNCurveValue", "genus mu approx")):
     """The expected-dimension curve over one abscissa.
 
     ``approx`` is a float for rendering only.  ``compare`` is exact: it
@@ -218,9 +225,7 @@ class BNCurveValue:
     sign of the normalized count, never touching the square root.
     """
 
-    genus: int
-    mu: Fraction
-    approx: float
+    __slots__ = ()
 
     def compare(self, lam) -> int:
         """Sign of lam - curve(mu): -1 below, 0 on, +1 above the curve."""

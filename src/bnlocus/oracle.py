@@ -48,7 +48,7 @@ items, more than the 6,516 distinct ones of ``verify_oracle(6, 5)``, and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -85,25 +85,22 @@ class ContradictionError(RuntimeError):
     """Both an emptiness and a nonemptiness criterion fired: implementation bug."""
 
 
-@dataclass(frozen=True)
-class Evidence:
-    rule: str
-    kind: str  # "wholespace" | "nonempty" | "empty"; _ev rejects any other
-    citation: str
-    params: tuple[tuple[str, int | str], ...] = ()
+class Evidence(namedtuple("Evidence", "rule kind citation params", defaults=((),))):
+    """One criterion that fired: its rule, its kind ("wholespace", "nonempty"
+    or "empty"; ``_ev`` rejects any other), its citation and its parameters
+    as sorted (name, value) pairs."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"rule": self.rule, "params": dict(self.params), "citation": self.citation}
 
 
-@dataclass(frozen=True)
-class Classification:
-    genus: int
-    triple: Triple
-    curve_class: CurveClass
-    stability: Stability
-    verdict: Verdict
-    evidence: tuple[Evidence, ...]
+class Classification(namedtuple("Classification", "genus triple curve_class stability verdict evidence")):
+    """The verdict on one :class:`Triple` at a genus, curve class and
+    stability, with the tuple of :class:`Evidence` behind it."""
+
+    __slots__ = ()
 
     @property
     def mu(self) -> Fraction:

@@ -8,10 +8,10 @@ isolated points are drawn as open circles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .arith import bn_curve, check_genus
+from .arith import _tuple_new, bn_curve, check_genus
 from .regions import (
     PolySegment,
     RegionId,
@@ -35,19 +35,18 @@ _CURVE_COLOR = "#555555"
 _MARGIN = 48.0
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    genus: int
-    regions: tuple[RegionId, ...] = ()
-    show_bn_curve: bool = True
-    width_px: int = 900
-    height_px: int = 620
-    out_path: str = "figure.svg"
+class PlotSpec(namedtuple("PlotSpec", "genus regions show_bn_curve width_px height_px out_path")):
+    """One figure: the genus, the regions drawn (a tuple of :class:`RegionId`),
+    whether to draw the expected-dimension curve, and the viewport."""
 
-    def __post_init__(self):
-        check_genus(self.genus, 3)
-        if self.width_px <= 0 or self.height_px <= 0:
+    __slots__ = ()
+
+    def __new__(cls, genus: int, regions: tuple[RegionId, ...] = (), show_bn_curve: bool = True,
+                width_px: int = 900, height_px: int = 620, out_path: str = "figure.svg"):
+        check_genus(genus, 3)
+        if width_px <= 0 or height_px <= 0:
             raise ValueError("viewport dimensions must be positive")
+        return _tuple_new(cls, (genus, regions, show_bn_curve, width_px, height_px, out_path))
 
 
 def _fmt(x: float) -> str:

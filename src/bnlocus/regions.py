@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -44,6 +44,8 @@ from .arith import (
     BNPoint,
     Stability,
     _as_point,
+    _slot_repr,
+    _tuple_new,
     check_genus,
     format_rat,
     hyper_window,
@@ -71,47 +73,39 @@ class BmnoMode(Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One linear piece lo..hi of a boundary function.
+class Piece(namedtuple("Piece", "lo hi slope intercept include_lo include_hi", defaults=(False, True))):
+    """One linear piece lo..hi of a boundary function, lam = slope*mu + intercept.
 
     Endpoint ownership is explicit: the duality-reflected half of the
     assembled boundary is right-open/left-closed, the directly constructed
     half left-open/right-closed, so a single convention cannot serve both.
     """
 
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    intercept: Fraction
-    include_lo: bool = False
-    include_hi: bool = True
+    __slots__ = ()
 
     def value_at(self, mu) -> Fraction:
         return self.slope * Fraction(mu) + self.intercept
 
 
-@dataclass(frozen=True)
-class BoundaryFn:
-    """Piecewise-linear function whose pieces exactly tile an open interval."""
+class BoundaryFn(namedtuple("BoundaryFn", "pieces domain_lo domain_hi")):
+    """Piecewise-linear function whose pieces exactly tile an open interval.
 
-    pieces: tuple[Piece, ...]
-    domain_lo: Fraction
-    domain_hi: Fraction
+    No ``__slots__``: :attr:`_los` is cached in the instance's ``__dict__``.
+    """
 
-    def __post_init__(self):
-        ps = self.pieces
-        if not ps:
+    def __new__(cls, pieces: tuple[Piece, ...], domain_lo: Fraction, domain_hi: Fraction):
+        if not pieces:
             raise ValueError("boundary function needs at least one piece")
-        if ps[0].lo != self.domain_lo or ps[-1].hi != self.domain_hi:
+        if pieces[0].lo != domain_lo or pieces[-1].hi != domain_hi:
             raise ValueError("pieces do not span the stated domain")
-        if ps[0].include_lo or ps[-1].include_hi:
+        if pieces[0].include_lo or pieces[-1].include_hi:
             raise ValueError("domain is open; end pieces must not own endpoints")
-        for a, b in zip(ps, ps[1:]):
+        for a, b in zip(pieces, pieces[1:]):
             if a.hi != b.lo:
                 raise ValueError(f"gap between pieces at {a.hi} vs {b.lo}")
             if a.include_hi == b.include_lo:
                 raise ValueError(f"shared abscissa {a.hi} owned {'twice' if a.include_hi else 'by no piece'}")
+        return _tuple_new(cls, (pieces, domain_lo, domain_hi))
 
     @cached_property
     def _los(self):
@@ -279,8 +273,7 @@ def in_u_m_half(g: int, d_shift: int, s: int, p) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(namedtuple("Tile", "lo s slope intercept base d_shift mult reflected", defaults=(False,))):
     """One tile of the assembled region, over the column lo..lo+1 at level s.
 
     Every tile is an image of the BGN or M trapezium (``base``): under the
@@ -292,14 +285,7 @@ class Tile:
     chain level; :func:`in_bmno` is tested equal to the union of the images.
     """
 
-    lo: int
-    s: int
-    slope: Fraction
-    intercept: Fraction
-    base: str
-    d_shift: int
-    mult: int
-    reflected: bool = False
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -420,11 +406,14 @@ def hyper_strip(g: int, mu, lam, scale: int = 1) -> tuple[int, bool] | None:
     D = scale
     if lam <= 0:
         return None
-    for s in range(1, g):
-        if (2 * s - 1) * D < mu <= 2 * s * D and lam <= s * D:
-            return s, False
-        if (2 * s - 2) * D <= mu < (2 * s - 1) * D and lam <= mu - (s - 1) * D:
-            return s, True
+    # the band s holds only s = ceil(mu/2D), its image only s = floor(mu/2D) + 1;
+    # at mu = 2sD both may, and the band (the smaller s) is tested first
+    s = hyper_window(mu, D)
+    if 1 <= s < g and (2 * s - 1) * D < mu and lam <= s * D:
+        return s, False
+    s = mu // (2 * D) + 1
+    if 1 <= s < g and mu < (2 * s - 1) * D and lam <= mu - (s - 1) * D:
+        return s, True
     return None
 
 
@@ -459,19 +448,26 @@ def _at_scale(x, scale: int) -> int:
     return _exact(x.numerator * scale, x.denominator)
 
 
-@dataclass(frozen=True, slots=True)
 class _IntTile:
     """A tile at scale D: the abscissae between lo and hi (each end included
-    by its flag), 0 < L on or under the top line, minus the corner point, plus
-    the sliver {M = sliver[0], 0 < L < sliver[1]}."""
+    by its flag), 0 < L on or under the top line (den, n, k), minus the
+    corner point, plus the sliver {M = sliver[0], 0 < L < sliver[1]}.
 
-    lo: int
-    hi: int
-    lo_in: bool
-    hi_in: bool
-    line: tuple[int, int, int]
-    corner: tuple[int, int] | None
-    sliver: tuple[int, int] | None
+    Immutable, since the kernel and ``_unit_tile`` share each tile.  A plain
+    class with slots, not a tuple: :meth:`contains` is the sweeps' inner
+    test, and slot reads are cheaper than a tuple's field reads.
+    """
+
+    __slots__ = ("lo", "hi", "lo_in", "hi_in", "line", "corner", "sliver")
+    __repr__ = _slot_repr
+
+    def __init__(self, lo: int, hi: int, lo_in: bool, hi_in: bool, line: tuple[int, int, int],
+                 corner: tuple[int, int] | None, sliver: tuple[int, int] | None):
+        for name, value in zip(self.__slots__, (lo, hi, lo_in, hi_in, line, corner, sliver)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable _IntTile")
 
     @classmethod
     def of(cls, tile: Tile, scale: int) -> "_IntTile":
@@ -765,20 +761,20 @@ class RegionKind(Enum):
     BN_CURVE = "bncurve"
 
 
-@dataclass(frozen=True)
-class RegionId:
-    kind: RegionKind
-    d_shift: int | None = None
-    s: int | None = None
+class RegionId(namedtuple("RegionId", "kind d_shift s")):
+    """A region of :class:`RegionKind`; the shifted trapezia take (d_shift, s)."""
 
-    def __post_init__(self):
-        if not isinstance(self.kind, RegionKind):
-            raise TypeError(f"region kind must be a RegionKind, not {self.kind!r}")
-        if self.kind in (RegionKind.T_BGN, RegionKind.T_M):
-            if self.d_shift is None or self.s is None or self.s < 1:
+    __slots__ = ()
+
+    def __new__(cls, kind: RegionKind, d_shift: int | None = None, s: int | None = None):
+        if not isinstance(kind, RegionKind):
+            raise TypeError(f"region kind must be a RegionKind, not {kind!r}")
+        if kind in (RegionKind.T_BGN, RegionKind.T_M):
+            if d_shift is None or s is None or s < 1:
                 raise ValueError("shifted regions need d_shift and s >= 1")
-        elif self.d_shift is not None or self.s is not None:
-            raise ValueError(f"{self.kind.value} takes no parameters")
+        elif d_shift is not None or s is not None:
+            raise ValueError(f"{kind.value} takes no parameters")
+        return _tuple_new(cls, (kind, d_shift, s))
 
     def token(self) -> str:
         if self.kind in (RegionKind.T_BGN, RegionKind.T_M):
@@ -815,13 +811,12 @@ def _t_params(region: RegionId) -> tuple[int, int]:
     return (0, 1) if region.d_shift is None else (region.d_shift, region.s)
 
 
-@dataclass(frozen=True)
-class PolySegment:
-    start: BNPoint
-    end: BNPoint
-    include_start: bool
-    include_end: bool
-    include_interior: bool = True
+class PolySegment(namedtuple("PolySegment", "start end include_start include_end include_interior",
+                             defaults=(True,))):
+    """A boundary segment between two :class:`BNPoint`, with the inclusion of
+    each end and of its interior."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

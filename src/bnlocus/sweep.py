@@ -27,7 +27,7 @@ back into Fractions only to write a failure record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from fractions import Fraction
 
@@ -35,6 +35,7 @@ from .arith import (
     BNPoint,
     Stability,
     Triple,
+    _slot_repr,
     check_genus,
     format_rat,
     hyper_h0_bound,
@@ -58,11 +59,10 @@ from .regions import (
 _FAILURE_CAP = 100
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    input: str
-    expected: str
-    observed: str
+class SweepFailure(namedtuple("SweepFailure", "input expected observed")):
+    """One failed check, as the text of its input, the expected and the observed value."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"input": self.input, "expected": self.expected, "observed": self.observed}
@@ -72,15 +72,20 @@ class SweepFailure:
 _PARAM_LABELS = {"max_den": ("max_denominator", "den"), "n_max": ("max_rank", "rank")}
 
 
-@dataclass
 class SweepReport:
-    suite: str
-    genus_lo: int
-    genus_hi: int
-    params: dict[str, int] = field(default_factory=dict)  # the suite's parameter by name, if it has one
-    checks_run: int = 0
-    failure_count: int = 0
-    failures: list[SweepFailure] = field(default_factory=list)
+    """The outcome of one suite over a genus window; ``params`` holds the
+    suite's parameter by name, if it has one, and ``failures`` the first
+    ``_FAILURE_CAP`` of ``failure_count`` failures."""
+
+    __slots__ = ("suite", "genus_lo", "genus_hi", "params", "checks_run", "failure_count", "failures")
+    __repr__ = _slot_repr
+
+    def __init__(self, suite: str, genus_lo: int, genus_hi: int, params: dict[str, int] | None = None,
+                 checks_run: int = 0, failure_count: int = 0, failures: list[SweepFailure] | None = None):
+        self.suite, self.genus_lo, self.genus_hi = suite, genus_lo, genus_hi
+        self.params = {} if params is None else params
+        self.checks_run, self.failure_count = checks_run, failure_count
+        self.failures = [] if failures is None else failures
 
     def record(self, input_, expected, observed):
         self.failure_count += 1
@@ -464,13 +469,17 @@ def classification_csv(rows: list[Classification]) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-@dataclass
 class RegionComparison:
-    genus: int
-    max_denominator: int
-    checks_run: int
-    in_bmno_not_teixidor: list[BNPoint]
-    in_teixidor_not_bmno: list[BNPoint]
+    """The points of a genus's rational grid in one of the assembled and
+    parallelogram regions only."""
+
+    __slots__ = ("genus", "max_denominator", "checks_run", "in_bmno_not_teixidor", "in_teixidor_not_bmno")
+    __repr__ = _slot_repr
+
+    def __init__(self, genus: int, max_denominator: int, checks_run: int,
+                 in_bmno_not_teixidor: list[BNPoint], in_teixidor_not_bmno: list[BNPoint]):
+        self.genus, self.max_denominator, self.checks_run = genus, max_denominator, checks_run
+        self.in_bmno_not_teixidor, self.in_teixidor_not_bmno = in_bmno_not_teixidor, in_teixidor_not_bmno
 
     def to_json_dict(self) -> dict:
         def pts(ps):

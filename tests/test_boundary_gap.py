@@ -8,7 +8,6 @@ test must flag every piece the grid flags, and the point it names must be
 a real failure.
 """
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -62,7 +61,7 @@ def test_exact_flags_every_perturbed_piece_the_grid_flags():
         g = rng.choice(GENERA)
         p = rng.choice(rng.choice([bmno_boundary, teixidor_boundary])(g).pieces)
         step = F(rng.choice([1, -1]), rng.choice([50, 500, 5000]))
-        p = replace(p, intercept=p.intercept + step) if rng.random() < 0.5 else replace(p, slope=p.slope + step)
+        p = p._replace(intercept=p.intercept + step) if rng.random() < 0.5 else p._replace(slope=p.slope + step)
         exact, grid = _gap_failure(g, p), _grid_flags(g, p)
         assert exact is None or _real_failure(g, p, exact[0]), (g, p)
         if grid:
@@ -80,4 +79,4 @@ def test_exact_reads_the_vertex_and_the_ends_each_piece_owns():
     # boundary+1 touches the curve at (9, 3): allowed only at an end the piece does not own
     touching = Piece(F(9), F(10), F(1), F(-7))
     assert _gap_failure(10, touching) is None
-    assert _gap_failure(10, replace(touching, include_lo=True)) == (9, 2)
+    assert _gap_failure(10, touching._replace(include_lo=True)) == (9, 2)

@@ -420,10 +420,25 @@ def test_unserialisable_output_exits_one(capsys, monkeypatch):
         1, "", "error: Object of type set is not JSON serializable\n")
 
 
-def test_import_leaves_plotting_unloaded():
-    # plot is the one command that draws, so it imports the plotting module itself
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import bnlocus.cli; print(sorted(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parents[1] / "src")],
-                          capture_output=True, text=True, timeout=60)
+IMPORT_THEN_PLOT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import bnlocus, bnlocus.cli
+print(sorted(sys.modules))
+print(bnlocus.cli.main(["plot", "--genus", "10", "--regions", "bmno,teixidor", "--out", sys.argv[2]]))
+print(sorted(sys.modules))
+"""
+
+
+def test_import_leaves_plotting_unloaded(tmp_path):
+    # plot is the one command that draws, so it imports the plotting module
+    # itself; no module loads dataclasses or the inspect module it pulls in
+    out_file = tmp_path / "fig.svg"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_THEN_PLOT, str(Path(__file__).resolve().parents[1] / "src"),
+                           str(out_file)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "bnlocus.sweep" in proc.stdout and "bnlocus.plotting" not in proc.stdout
+    imported, code, plotted = proc.stdout.splitlines()
+    assert "'bnlocus.sweep'" in imported and "'bnlocus.plotting'" not in imported
+    assert code == "0" and "'bnlocus.plotting'" in plotted and out_file.read_text().startswith("<?xml")
+    for modules in (imported, plotted):
+        assert "'dataclasses'" not in modules and "'inspect'" not in modules

@@ -9,7 +9,6 @@ must leave every failing report byte-identical, not only the passing ones.
 """
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -27,7 +26,10 @@ _hyper_h0_bound = sweep.hyper_h0_bound
 def _no_sliver(monkeypatch):
     # every T-image loses its sliver, so the BGN tile's right edge below s
     # is no longer inside the M tile before it
-    monkeypatch.setattr(_IntTile, "shifted", lambda self, d, s: replace(_shifted(self, d, s), sliver=None))
+    def shifted(self, d, s):
+        t = _shifted(self, d, s)
+        return _IntTile(t.lo, t.hi, t.lo_in, t.hi_in, t.line, t.corner, None)
+    monkeypatch.setattr(_IntTile, "shifted", shifted)
 
 
 def _moved_reflection(kind: str, eighths: int):
@@ -38,7 +40,7 @@ def _moved_reflection(kind: str, eighths: int):
             if (t.corner is not None) != (kind == "bgn"):
                 return t
             den, n, k = t.line
-            return replace(t, line=(den, n, k + eighths * den * gd // 8))
+            return _IntTile(t.lo, t.hi, t.lo_in, t.hi_in, (den, n, k + eighths * den * gd // 8), t.corner, t.sliver)
         monkeypatch.setattr(_IntTile, "reflected", reflected)
     return fault
 

@@ -26,6 +26,28 @@ def _teixidor_at_rank_scale(g: int, t: Triple, m: Stability) -> bool:
     return _IntScale(g, t.n).in_teixidor(t.d, t.k, m)
 
 
+def _strip_by_loop(g: int, mu, lam, scale: int = 1):
+    """The reference for ``hyper_strip``: every s = 1..g-1 in order, the
+    band before its duality image."""
+    D = scale
+    if lam <= 0:
+        return None
+    for s in range(1, g):
+        if (2 * s - 1) * D < mu <= 2 * s * D and lam <= s * D:
+            return s, False
+        if (2 * s - 2) * D <= mu < (2 * s - 1) * D and lam <= mu - (s - 1) * D:
+            return s, True
+    return None
+
+
+def test_strip_matches_the_loop_at_fraction_points():
+    # scale 1, Fraction points on both sides of every band, negative slopes included
+    for g in (2, 3, 4, 7):
+        for mu in (Fraction(a, q) for q in (1, 2, 3, 4) for a in range(-2 * q, 2 * g * q + 1)):
+            for lam in (Fraction(b, 4) for b in range(-1, 4 * g + 2)):
+                assert hyper_strip(g, mu, lam) == _strip_by_loop(g, mu, lam), (g, mu, lam)
+
+
 def _check_triple(g: int, t: Triple) -> None:
     n, d, k = t.n, t.d, t.k
     assert hyper_strip(g, d, k, n) == hyper_strip(g, t.mu, t.lam), (g, t)
@@ -259,6 +281,8 @@ def test_teixidor_and_strip_columns_are_prefixes(g):
         for d in range(0, 2 * n * (g - 1) + 2 * n + 1):
             held = [k for k in range(1, d + n + 1) if scale.in_teixidor(d, k, Stability.SEMISTABLE)]
             assert held == list(range(1, len(held) + 1)) and len(held) < d + n, (n, d)
-            strips = [hyper_strip(g, d, k, n) for k in range(1, min(d // 2 + n, (g - 1) * n) + 2)]
+            ks = range(1, min(d // 2 + n, (g - 1) * n) + 2)
+            strips = [hyper_strip(g, d, k, n) for k in ks]
+            assert strips == [_strip_by_loop(g, d, k, n) for k in ks], (n, d)
             top = strips.index(None)
             assert len(set(strips[:top])) <= 1 and not any(strips[top:]), (n, d)

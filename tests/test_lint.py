@@ -1,6 +1,6 @@
 """No module imports a name that it never uses, the package defines no
-private name that nothing uses, and no package module binds one top-level
-name twice.
+private name that nothing uses, no package module binds one top-level
+name twice, and no package module imports ``dataclasses``.
 
 No linter is installed, so this is a stdlib ``ast`` scan of the package
 modules and the tests.  An import counts as used when the name appears
@@ -10,7 +10,9 @@ the package counts as used when any module names it outside its own
 definition, as an identifier, an attribute or an imported name.  A second
 top-level binding (a def, class, assignment or import) silently shadows the
 first, so a public wrapper left above an older body of the same name would
-leave one of the two dead.
+leave one of the two dead.  ``dataclasses`` and the ``inspect`` it loads
+were most of the time ``import bnlocus`` took, so the records are
+namedtuples or classes with ``__slots__``.
 """
 import ast
 from collections import Counter
@@ -116,3 +118,23 @@ def test_no_top_level_name_bound_twice():
     package = sorted((ROOT / "src" / "bnlocus").glob("*.py"))
     assert [hit for path in package for hit in rebound_names(path)] == []
 
+
+
+def dataclasses_imports(path: Path) -> list[str]:
+    """Each import of ``dataclasses`` in a module, at any depth."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        hits += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
+                 if name.split(".")[0] == "dataclasses"]
+    return hits
+
+
+def test_package_does_not_import_dataclasses():
+    package = sorted((ROOT / "src" / "bnlocus").glob("*.py"))
+    assert [hit for path in package for hit in dataclasses_imports(path)] == []

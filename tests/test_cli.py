@@ -49,6 +49,11 @@ def test_boundary_values(capsys):
     assert run(capsys, "boundary", "--genus", "4", "--fn", "h", "--mu", "4")[1] == "5/2\n"
 
 
+def test_boundary_outside_domain_exits_one(capsys):
+    assert run(capsys, "boundary", "--genus", "4", "--fn", "f", "--mu", "9") == (
+        1, "", "error: 9 outside domain (0, 6)\n")
+
+
 def test_boundary_curve_compare(capsys):
     code, out, _ = run(capsys, "boundary", "--genus", "10", "--fn", "rho",
                        "--mu", "9", "--lambda", "3")

@@ -844,7 +844,7 @@ def _pentagon_segments(g: int) -> list[PolySegment]:
         _seg((0, 0), (gg, 0), False, False, interior=False),          # lam > 0
         _seg((0, 0), (0, 1), False, True),                            # mu >= 0 edge
         _seg((0, 1), (gg, g), True, True),                            # Clifford edge
-        _seg((gg, g), (gg, g - 1), True, True),                       # mu <= 2g-2 edge
+        _seg((gg, g), (gg, g - 1), True, False),                      # mu <= 2g-2 edge
         _seg((gg, g - 1), (g - 1, 0), False, False, interior=False),  # strict duality edge
     ]
 

@@ -460,6 +460,20 @@ def test_pentagon_polyline():
     assert len(dashed) == 2  # bottom edge and the strict duality edge
 
 
+@pytest.mark.parametrize("g", range(3, 13))
+def test_polygon_polyline_flags_match_membership(g):
+    # the graph regions are left out: their flags give the boundary
+    # function's piece ownership, which matches no membership mode
+    tokens = ["p", "r", "bgn", "m"] + [f"{kind}:{d}:{s}" for kind in ("tbgn", "tm")
+                                       for d, s in ((0, 1), (1, 2), (g - 2, 2), (g - 3, g - 1))]
+    for token in tokens:
+        region = parse_region_id(token)
+        for seg in boundary_polyline(g, region):
+            mid = point((seg.start.mu + seg.end.mu) / 2, (seg.start.lam + seg.end.lam) / 2)
+            for p, flag in ((seg.start, seg.include_start), (mid, seg.include_interior), (seg.end, seg.include_end)):
+                assert region_membership(g, region, p) == flag, (token, seg, p)
+
+
 def test_bmno_polyline_breakpoint():
     segs = boundary_polyline(10, parse_region_id("bmno"))
     assert any(s.end == point(6, F(3, 2)) or s.start == point(6, F(3, 2)) for s in segs)

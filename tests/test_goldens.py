@@ -60,12 +60,12 @@ def _tokens(g: int) -> list[str]:
 
 
 SVG = {
-    3: "5b2c1928338452dc2d2866ea174fc4ddc7d6d3164ece577f4c07808756bcc16a",
-    4: "ff542e0b7718558c5babdb7ca357eadea78b4561f04c733b220da5fb91293322",
-    5: "0d17cfe82c336a47238106145ad0de6de6b69a782d762af94503fda786b12eae",
-    10: "5c1d21a8a92a280a926dfd8ca681d20043b5a0dbc03971c0e7d900ac3d9b203b",
-    12: "514d7c5e9a2a282c846909a70f91957b239d459a507a6262954f675179f93aa4",
-    13: "59b2110bc1dd279aec86a4408172a3bf0c360301ff5d0c9590d72f2ee4da7b63",
+    3: "dd087566cb846be70d08c5d2a75aab87587fb31addd21719ac1fcb61162c11d3",
+    4: "383931b02edbf243cb4b8a2fafe4c71e629052f4efdb8be831e2f3c19669fccd",
+    5: "225fd0f875eef8c0ce33b960c6aa53775817c8a9b7835fb0e5684f1ed926c566",
+    10: "686b5cb0353cb8b39e6c49ec279669b7cdf1748727b19f300cf6545402a92a0e",
+    12: "ea9ac95b9eeddc8ed7947326a0882fb04b882b7d7dd62eb8550ac25925d78339",
+    13: "a356439da473d69ecab97f50169298179acafdc69881237eabc1f1bb4663ef3c",
 }
 
 
@@ -78,7 +78,7 @@ def test_svg_golden(g):
 def test_polyline_golden():
     lines = [json.dumps(polyline_json_dict(g, parse_region_id(t)))
              for g in range(3, 21) for t in _tokens(g)]
-    assert _digest(lines) == "4f98f590ba2250c9c2bc612241cd583247f573a78b7ab91e8f6715cf0e38f4aa"
+    assert _digest(lines) == "8723fffb94d1e813e992aae6d2a3fe43834d04a5e9bad4c40dcbc312623fddcd"
 
 
 def test_boundary_pieces_and_tiles_golden():

@@ -23,6 +23,14 @@ Rat = Fraction
 # without a second pass through the generated ``__new__``
 _tuple_new = tuple.__new__
 
+
+@classmethod
+def _checked_make(cls, iterable):
+    """namedtuple's ``_make`` through the record's own ``__new__``, so that
+    ``_make`` and ``_replace``, which calls it, keep the input checks."""
+    return cls(*iterable)
+
+
 _RAT_PATTERN = re.compile(r"\A[+-]?\d+(?:/\d+)?\Z")
 
 
@@ -79,6 +87,7 @@ class BNPoint(namedtuple("BNPoint", "mu lam")):
     """A point (mu, lambda) of the slope plane; may lie outside the pentagon."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, mu, lam):
         return _tuple_new(cls, cls.__post_init__(mu, lam))
@@ -105,6 +114,7 @@ class Triple(namedtuple("Triple", "n d k")):
     """A bundle problem: rank n >= 1, degree d, required sections k."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, n, d, k):
         check_int("n", n)

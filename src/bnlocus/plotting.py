@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import _tuple_new, bn_curve, check_genus
+from .arith import _checked_make, _tuple_new, bn_curve, check_genus
 from .regions import (
     PolySegment,
     RegionId,
@@ -40,6 +40,7 @@ class PlotSpec(namedtuple("PlotSpec", "genus regions show_bn_curve width_px heig
     whether to draw the expected-dimension curve, and the viewport."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, genus: int, regions: tuple[RegionId, ...] = (), show_bn_curve: bool = True,
                 width_px: int = 900, height_px: int = 620, out_path: str = "figure.svg"):

@@ -44,6 +44,7 @@ from .arith import (
     BNPoint,
     Stability,
     _as_point,
+    _checked_make,
     _slot_repr,
     _tuple_new,
     check_genus,
@@ -92,6 +93,8 @@ class BoundaryFn(namedtuple("BoundaryFn", "pieces domain_lo domain_hi")):
 
     No ``__slots__``: :attr:`_los` is cached in the instance's ``__dict__``.
     """
+
+    _make = _checked_make
 
     def __new__(cls, pieces: tuple[Piece, ...], domain_lo: Fraction, domain_hi: Fraction):
         if not pieces:
@@ -765,6 +768,7 @@ class RegionId(namedtuple("RegionId", "kind d_shift s")):
     """A region of :class:`RegionKind`; the shifted trapezia take (d_shift, s)."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, kind: RegionKind, d_shift: int | None = None, s: int | None = None):
         if not isinstance(kind, RegionKind):

@@ -4,7 +4,8 @@ they had as dataclasses.
 The value records are ``collections.namedtuple`` subclasses; ``_IntTile``,
 ``SweepReport`` and ``RegionComparison`` are classes with ``__slots__``.
 Each sample's repr was recorded from the dataclass form, and tuples add
-nothing to it.
+nothing to it.  The five records whose constructor checks its input run the
+same checks in ``_make`` and ``_replace``, as ``dataclasses.replace`` did.
 """
 import subprocess
 import sys
@@ -126,6 +127,42 @@ def test_constructors_keep_their_checks():
         RegionId(RegionKind.T_M, 1)
     with pytest.raises(ValueError, match="viewport dimensions must be positive"):
         PlotSpec(5, width_px=0)
+
+
+# the five records whose __new__ checks its input -> a sample, a bad
+# _replace, a bad _make, and the error and message each must raise
+_PIECE = Piece(F(0), F(2), F(1, 4), F(1), False, False)
+CHECKED = {
+    BNPoint: (BNPoint(1, 2), {"lam": None}, (None, 1), TypeError, "argument should be a string or a Rational"),
+    Triple: (Triple(2, 4, 3), {"n": 0}, (0, 1, 1), ValueError, "rank must be >= 1, got 0"),
+    BoundaryFn: (BoundaryFn((_PIECE,), F(0), F(2)), {"domain_hi": F(3)}, ((_PIECE,), F(1), F(2)), ValueError,
+                 "pieces do not span the stated domain"),
+    RegionId: (RegionId(RegionKind.T_M, 1, 2), {"s": 0}, (RegionKind.T_M, 1, 0), ValueError,
+               "shifted regions need d_shift and s >= 1"),
+    PlotSpec: (PlotSpec(5), {"width_px": 0}, (5, (), True, 900, 0, "f.svg"), ValueError,
+               "viewport dimensions must be positive"),
+}
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_replace_and_make_keep_the_checks(cls):
+    sample, bad_fields, bad_values, error, message = CHECKED[cls]
+    assert cls._make(sample) == sample and sample._replace() == sample
+    with pytest.raises(error, match=message):
+        sample._replace(**bad_fields)
+    with pytest.raises(error, match=message):
+        cls._make(bad_values)
+
+
+def test_make_checks_the_field_types():
+    with pytest.raises(TypeError, match="d must be an integer, got 1.5"):
+        Triple._make((1, 1.5, 1))
+    with pytest.raises(TypeError, match="region kind must be a RegionKind, not 'bgn'"):
+        RegionId._make(("bgn", None, None))
+    with pytest.raises(TypeError):
+        Triple._make((1, 2, 3, 4))
+    mu = BNPoint(1, 2)._replace(mu=0.5).mu
+    assert mu == F(1, 2) and type(mu) is F
 
 
 TRACED_POINTS = """

@@ -23,13 +23,9 @@ Rat = Fraction
 # without a second pass through the generated ``__new__``
 _tuple_new = tuple.__new__
 
-
-@classmethod
-def _checked_make(cls, iterable):
-    """namedtuple's ``_make`` through the record's own ``__new__``, so that
-    ``_make`` and ``_replace``, which calls it, keep the input checks."""
-    return cls(*iterable)
-
+# namedtuple's ``_make`` through the record's own ``__new__``, so that
+# ``_make`` and ``_replace``, which calls it, keep the input checks
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
 
 _RAT_PATTERN = re.compile(r"\A[+-]?\d+(?:/\d+)?\Z")
 

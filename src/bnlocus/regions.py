@@ -12,20 +12,21 @@ levels and threshold columns come from the same walk; the assembled region
 reads only those three, in every mode.  :func:`hyper_strip` is the one
 statement of the hyperelliptic strips, which the oracle also reads.
 
-Each membership test is stated once, at a scale: a point (mu, lam) is read
-as (M, L) = (mu*D, lam*D).  The private kernel (:class:`_IntKernel`, with
-its Teixidor test in :class:`_IntScale`) holds the one body of the assembled,
-Teixidor and hyperelliptic regions and of the four tile shapes; the same
-code runs on integers at the sweeps' common denominator D, on the oracle's
-triples at D = n, and on ``Fraction`` points at D = 1, which is all the
-public functions do after checking their input.  The assembled region's left
-half is stated once, as a column: over each abscissa, the heights under one
-line (strictly or not) minus at most one point; the region is the union of
-that column at a point and at its dual, so a sweep resolves the columns of
-a slope once and tests each height against them.  :func:`hyper_strip` and
-:func:`hyper_window` take a scale the same way.  The tile-union, preimage,
-duality and membership-bitmap tests are the independent checks of these
-bodies.
+Each membership test and each boundary is stated once, at a scale: a point
+(mu, lam) is read as (M, L) = (mu*D, lam*D).  The private kernel
+(:class:`_IntKernel`, with the pentagon and Teixidor tests in
+:class:`_IntScale`) holds the one body of the pentagon, of the assembled,
+Teixidor and hyperelliptic regions and of the four tile shapes, and
+:class:`BoundaryFn` evaluates each boundary; the same code runs on integers
+at the sweeps' common denominator D, on the oracle's triples at D = n, and
+on ``Fraction`` points at D = 1, which is all the public functions do after
+checking their input.  The assembled region is stated once, as a column over
+each abscissa: the left half's heights under one line (strictly or not)
+minus at most one point, at the abscissa and at its dual.  :func:`in_bmno`
+reads one height of it, and a sweep resolves the column of a slope once and
+tests each height against it.  :func:`hyper_strip` and :func:`hyper_window`
+take a scale the same way.  The tile-union, preimage, duality and
+membership-bitmap tests are the independent checks of these bodies.
 
 All memberships follow the strict/non-strict inequalities of the source
 criteria exactly, including the isolated excluded corner points.  Everything
@@ -34,11 +35,10 @@ is a pure function of immutable values; region data is cached per genus.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .arith import (
     BNPoint,
@@ -89,9 +89,15 @@ class Piece(namedtuple("Piece", "lo hi slope intercept include_lo include_hi", d
 
 
 class BoundaryFn(namedtuple("BoundaryFn", "pieces domain_lo domain_hi")):
-    """Piecewise-linear function whose pieces exactly tile an open interval.
+    """Piecewise-linear function whose pieces exactly tile an open interval
+    between integer breakpoints.
 
-    No ``__slots__``: :attr:`_los` is cached in the instance's ``__dict__``.
+    It is the one evaluator of its graph at every scale: an abscissa M at
+    scale D is the slope M/D, and a ``Fraction`` slope is its numerator at
+    the scale of its denominator.  Each piece keeps its line as integers
+    (den, n, k), lam = slope*mu + intercept iff den*lam = n*mu + k, and
+    :meth:`_owner` is the one rule for which piece owns an abscissa.  No
+    ``__slots__``: those tables live in the instance's ``__dict__``.
     """
 
     _make = _checked_make
@@ -108,26 +114,48 @@ class BoundaryFn(namedtuple("BoundaryFn", "pieces domain_lo domain_hi")):
                 raise ValueError(f"gap between pieces at {a.hi} vs {b.lo}")
             if a.include_hi == b.include_lo:
                 raise ValueError(f"shared abscissa {a.hi} owned {'twice' if a.include_hi else 'by no piece'}")
-        return _tuple_new(cls, (pieces, domain_lo, domain_hi))
+        for x in (domain_lo, *(p.hi for p in pieces)):
+            if x % 1:
+                raise ValueError(f"breakpoint {x} is not an integer")
+        self = _tuple_new(cls, (pieces, domain_lo, domain_hi))
+        self._lines = [_int_line(p.slope, p.intercept, 1) for p in pieces]
+        # the index of the piece owning each cell of the domain, left to right:
+        # cell 2c is the integer domain_lo + c, cell 2c+1 the open interval after it
+        self._lo = int(domain_lo)
+        self._cells = [None, *(i for i, p in enumerate(pieces)
+                               for _ in range(2 * int(p.hi - p.lo) - 1 + p.include_lo + p.include_hi)), None]
+        return self
 
-    @cached_property
-    def _los(self):
-        return [p.lo for p in self.pieces]
+    def _owner(self, M, D: int) -> int:
+        """The index of the piece that owns the abscissa M/D: the one over the
+        open unit interval holding it, or the one that includes it when it is
+        a breakpoint."""
+        q, r = divmod(M, D)
+        cell = 2 * (q - self._lo) + (r > 0)
+        if not 0 < cell < len(self._cells) - 1:
+            raise ValueError(f"{Fraction(M, D)} outside domain ({self.domain_lo}, {self.domain_hi})")
+        return self._cells[cell]
 
     def piece_at(self, mu) -> Piece:
         mu = Fraction(mu)
-        if not (self.domain_lo < mu < self.domain_hi):
-            raise ValueError(f"{mu} outside domain ({self.domain_lo}, {self.domain_hi})")
-        # the last piece starting at or left of mu, or the one before it when
-        # mu is a shared endpoint that the later piece does not own
-        i = bisect_right(self._los, mu) - 1
-        if mu == self.pieces[i].lo and not self.pieces[i].include_lo:
-            i -= 1
-        return self.pieces[i]
+        return self.pieces[self._owner(mu.numerator, mu.denominator)]
 
     def __call__(self, mu) -> Fraction:
         mu = Fraction(mu)
-        return self.piece_at(mu).value_at(mu)
+        den, num = self.scaled_bound(mu.numerator, mu.denominator)
+        return Fraction(num, den * mu.denominator)
+
+    def scaled_bound(self, M, D: int) -> tuple:
+        """The graph over the abscissa M at scale D as (den, num): a height L
+        lies on or under it iff den*L <= num."""
+        den, n, k = self._lines[self._owner(M, D)]
+        return den, n * M + k * D
+
+    def scaled_value(self, M: int, D: int) -> int:
+        """The value at the abscissa M at scale D, times D; raises unless it
+        is a multiple of 1/D."""
+        den, num = self.scaled_bound(M, D)
+        return _exact(num, den)
 
     def breakpoints(self) -> list[Fraction]:
         """All piece endpoints interior to the domain."""
@@ -145,23 +173,11 @@ def bmno_boundary(g: int) -> BoundaryFn:
     """
     check_genus(g, 3)
     left = [Piece(Fraction(t.lo), Fraction(t.lo + 1), t.slope, t.intercept) for t in bmno_tiles(g)]
-    out = list(left)
-    first = True
-    for p in reversed(left):
-        # graph image of lam = m*mu + c under (mu, lam) -> (2g-2-mu, lam+g-1-mu)
-        m, c = p.slope, p.intercept
-        out.append(
-            Piece(
-                2 * (g - 1) - p.hi,
-                2 * (g - 1) - p.lo,
-                1 - m,
-                m * (2 * g - 2) + c - (g - 1),
-                include_lo=not first,
-                include_hi=False,
-            )
-        )
-        first = False
-    return BoundaryFn(tuple(out), Fraction(0), Fraction(2 * g - 2))
+    # graph image of lam = m*mu + c under (mu, lam) -> (2g-2-mu, lam+g-1-mu),
+    # right to left; mu = g-1 stays with the last left piece
+    right = [Piece(2 * (g - 1) - p.hi, 2 * (g - 1) - p.lo, 1 - p.slope, p.slope * (2 * g - 2) + p.intercept - (g - 1),
+                   include_lo=p is not left[-1], include_hi=False) for p in reversed(left)]
+    return BoundaryFn(tuple(left + right), Fraction(0), Fraction(2 * g - 2))
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +199,7 @@ def teixidor_boundary(g: int) -> BoundaryFn:
         if nxt > r1:
             pieces.append(Piece(r1, min(nxt, top), Fraction(0), Fraction(s)))
         s += 1
-    last = pieces[-1]
-    pieces[-1] = Piece(last.lo, last.hi, last.slope, last.intercept, last.include_lo, include_hi=False)
+    pieces[-1] = pieces[-1]._replace(include_hi=False)
     return BoundaryFn(tuple(pieces), Fraction(0), top)
 
 
@@ -196,8 +211,7 @@ def hyper_boundary(g: int) -> BoundaryFn:
         Piece(Fraction(2 * s - 2), Fraction(2 * s), Fraction(s, g), s - Fraction(s, g) * (2 * s - 1))
         for s in range(1, g)
     ]
-    last = pieces[-1]
-    pieces[-1] = Piece(last.lo, last.hi, last.slope, last.intercept, last.include_lo, include_hi=False)
+    pieces[-1] = pieces[-1]._replace(include_hi=False)
     return BoundaryFn(tuple(pieces), Fraction(0), Fraction(2 * g - 2))
 
 
@@ -210,8 +224,7 @@ def in_pentagon(g: int, p) -> bool:
     """Pentagon of nontrivial problems: mu < lam+g-1, mu >= 2 lam-2,
     0 <= mu <= 2g-2, lam > 0."""
     check_genus(g)
-    mu, lam = _as_point(p)
-    return mu < lam + g - 1 and mu >= 2 * lam - 2 and 0 <= mu <= 2 * g - 2 and lam > 0
+    return _IntScale(g, 1).in_pentagon(*_as_point(p))
 
 
 def in_half_pentagon(g: int, p) -> bool:
@@ -355,7 +368,8 @@ def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
     """
     check_genus(g, 3)
     mode = BmnoMode(mode)
-    return _unit_kernel(g).in_bmno(*_as_point(p), mode)
+    M, L = _as_point(p)
+    return _IntKernel.in_bmno_col(_unit_kernel(g).bmno_column(M, mode), L)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +391,7 @@ def in_teixidor(g: int, p, stability: Stability = Stability.SEMISTABLE) -> bool:
     """
     check_genus(g, 3)
     stability = Stability(stability)
-    mu, lam = _as_point(p)
-    if lam <= 0:
-        raise ValueError(f"requires lam > 0, got {lam}")
-    return _unit_kernel(g).in_teixidor(mu, lam, stability)
+    return _unit_kernel(g).in_teixidor(*_as_point(p), stability)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +454,6 @@ def _exact(num: int, den: int) -> int:
     if r:
         raise ValueError(f"{num}/{den} is not an integer: the value is not a multiple of 1/D")
     return q
-
-
-def _at_scale(x, scale: int) -> int:
-    """x*D for a rational x that is a multiple of 1/D."""
-    x = Fraction(x)
-    return _exact(x.numerator * scale, x.denominator)
 
 
 class _IntTile:
@@ -518,32 +523,6 @@ class _IntTile:
                         (den, den - n, 2 * n * gd + k - den * gd), flip(self.corner), flip(self.sliver))
 
 
-class _IntBoundary:
-    """A :class:`BoundaryFn` at scale D, with the same endpoint ownership."""
-
-    __slots__ = ("lo", "hi", "los", "pieces")
-
-    def __init__(self, fn: BoundaryFn, scale: int):
-        self.lo, self.hi = _at_scale(fn.domain_lo, scale), _at_scale(fn.domain_hi, scale)
-        self.los = [_at_scale(p.lo, scale) for p in fn.pieces]
-        self.pieces = [(lo, p.include_lo, _int_line(p.slope, p.intercept, scale))
-                       for lo, p in zip(self.los, fn.pieces)]
-
-    def line_at(self, M: int) -> tuple[int, int, int]:
-        if not (self.lo < M < self.hi):
-            raise ValueError(f"{M} outside the scaled domain ({self.lo}, {self.hi})")
-        i = bisect_right(self.los, M) - 1
-        lo, include_lo, line = self.pieces[i]
-        if M == lo and not include_lo:
-            line = self.pieces[i - 1][2]
-        return line
-
-    def value(self, M: int) -> int:
-        """The boundary value at M, scaled by D; raises unless it is a multiple of 1/D."""
-        den, n, k = self.line_at(M)
-        return _exact(n * M + k, den)
-
-
 def _in_column(column: tuple | None, L) -> bool:
     """Whether the height L lies in a column (den, num, strict, hole) of
     :meth:`_IntKernel._left_column`; None holds no height."""
@@ -575,13 +554,17 @@ class _IntScale:
     def dual(self, M: int, L: int) -> tuple[int, int]:
         return 2 * self.gd - M, L + self.gd - M
 
+    def in_pentagon(self, M: int, L: int) -> bool:
+        """The pentagon of nontrivial problems, the one body of :func:`in_pentagon`."""
+        return M < L + self.gd and M >= 2 * L - 2 * self.D and 0 <= M <= 2 * self.gd and L > 0
+
     def rho_tilde(self, M: int, L: int) -> int:
         """:func:`rho_tilde` scaled by D**2."""
         return self.gd * self.D - L * (L - M + self.gd)
 
     def in_teixidor(self, M: int, L: int, stability: Stability) -> bool:
         if L <= 0:
-            raise ValueError(f"requires lam > 0, got {L}/{self.D}")
+            raise ValueError(f"requires lam > 0, got {Fraction(L, self.D)}")
         D = self.D
         floor_mu, floor_lam = M // D * D, L // D * D
         if L == floor_lam:
@@ -609,14 +592,14 @@ class _IntKernel(_IntScale):
     and the four shifted/reflected tile tests, which call it at D = 1 on
     their ``Fraction`` point; the sweeps call it on integers at a common
     denominator, building no Fraction.  The tables are derived from
-    :func:`bmno_tiles` and :func:`bmno_boundary`.  The assembled region's
-    left half has one body, :meth:`_left_column`: over an abscissa, the
-    closed form over the seesaw, the chain levels and the threshold columns,
-    as one line, its strictness and one excluded height.  :meth:`in_bmno`
-    tests a point's column and then its dual's; :meth:`bmno_column` bundles
-    both columns of an abscissa, so that a sweep tests many heights of one
-    slope with :meth:`in_bmno_col`.  Every tile is the T- or U-image of the
-    first BGN or M tile.
+    :func:`bmno_tiles`, and the seesaw is :func:`bmno_boundary` itself.  The
+    assembled region's left half has one body, :meth:`_left_column`: over an
+    abscissa, the closed form over the seesaw, the chain levels and the
+    threshold columns, as one line, its strictness and one excluded height.
+    :meth:`bmno_column` bundles it at an abscissa and at the dual one, and
+    :meth:`in_bmno_col` tests a height against that: once for the point of
+    :func:`in_bmno`, and for many heights of one slope in a sweep.  Every
+    tile is the T- or U-image of the first BGN or M tile.
     """
 
     def __init__(self, g: int, scale: int):
@@ -626,7 +609,7 @@ class _IntKernel(_IntScale):
         super().__init__(g, scale)
         tiles = bmno_tiles(g)  # the BGN tile at 0, then the M tile at 1
         self._base = {t.base: _IntTile.of(t, scale) for t in tiles[:2]}
-        self.f = _IntBoundary(bmno_boundary(g), scale)
+        self.f = bmno_boundary(g)
         # integer slope M -> its chain level L; a threshold column M -> its
         # section count s, and the abscissa one past it -> the height of the
         # corner (threshold+1, s), in one table so that one lookup of an
@@ -637,9 +620,6 @@ class _IntKernel(_IntScale):
         self._columns = {M: (columns.get(M), corners.get(M)) for M in columns.keys() | corners.keys()}
         self._hyper = [None] + [(self.shifted_tile("bgn", 2 * s - 2, s), self.shifted_tile("m", 2 * s - 2, s))
                                 for s in range(1, g)]
-
-    def scaled(self, fn: BoundaryFn) -> _IntBoundary:
-        return _IntBoundary(fn, self.D)
 
     def shifted_tile(self, kind: str, d_shift: int, s: int) -> _IntTile:
         """:func:`in_translated_bgn` (kind 'bgn') or :func:`in_translated_m` (kind 'm')."""
@@ -667,13 +647,12 @@ class _IntKernel(_IntScale):
         if stable:
             if M % D == 0:
                 return (1, self._levels[M], True, None) if M else None
-            den, n, k = self.f.line_at(M)
-            return den, n * M + k, False, None
+            den, num = self.f.scaled_bound(M, D)
+            return den, num, False, None
         s, corner = self._columns.get(M, (None, None))
         if M == 0:  # the seesaw's domain is open at 0
             return (1, s * D, False, None) if semistable else None
-        den, n, k = self.f.line_at(M)
-        num = n * M + k
+        den, num = self.f.scaled_bound(M, D)
         if semistable:
             return den, num if s is None else max(num, s * D * den), False, None
         if s is not None:
@@ -682,51 +661,34 @@ class _IntKernel(_IntScale):
                 den, num = self.g, cap
         return den, num, False, corner
 
-    def _corner(self, M: int, stable: bool):
-        """The height of the genus-3 point (2, 1) over M in STABLE mode, else None."""
-        return self.D if stable and self.g == 3 and M == 2 * self.D else None
-
-    def in_bmno(self, M: int, L: int, mode: BmnoMode) -> bool:
-        # the modes are resolved once here: an Enum member lookup costs more
-        # than the rest of a typical column test
-        stable, semistable = mode is BmnoMode.STABLE, mode is BmnoMode.SEMISTABLE
-        # the region is (left polygon) union its reflection; the reflected part
-        # is bounded below by the image of lam > 0, so test the left polygon's
-        # column at the point and, only when that misses, at its dual.  A
-        # column is built only under a positive height: at scale 1 that costs
-        # several Fraction operations
-        if 0 < L and _in_column(self._left_column(M, stable, semistable), L):
-            return True
-        SM, SL = self.dual(M, L)
-        if 0 < SL and _in_column(self._left_column(SM, stable, semistable), SL):
-            return True
-        corner = self._corner(M, stable)
-        return corner is not None and L == corner
-
     def bmno_column(self, M: int, mode: BmnoMode) -> tuple:
         """The assembled region over the abscissa M, for :meth:`in_bmno_col`:
         the left polygon's columns at M and at the dual abscissa 2gd - M, the
-        shift gd - M that takes a height to its dual's, and the genus-3 point."""
+        shift gd - M that takes a height to its dual's, and the height of the
+        genus-3 point (2, 1) over M in STABLE mode, else None."""
+        # the modes are resolved once here: an Enum member lookup costs more
+        # than the rest of a typical column test
         stable, semistable = mode is BmnoMode.STABLE, mode is BmnoMode.SEMISTABLE
+        corner = self.D if stable and self.g == 3 and M == 2 * self.D else None
         return (self._left_column(M, stable, semistable), self._left_column(2 * self.gd - M, stable, semistable),
-                self.gd - M, self._corner(M, stable))
+                self.gd - M, corner)
 
     @staticmethod
     def in_bmno_col(column: tuple, L: int) -> bool:
-        """:meth:`in_bmno` at the height L over the abscissa of ``column``, a
-        :meth:`bmno_column`."""
+        """Whether the height L over the abscissa of ``column``, a
+        :meth:`bmno_column`, lies in the assembled region: in the left polygon
+        at the point or at its dual, or the genus-3 point."""
         own, dual, shift, corner = column
         return _in_column(own, L) or _in_column(dual, L + shift) or (corner is not None and L == corner)
 
     def in_bmno_h(self, M: int, L: int) -> bool:
-        D, gd = self.D, self.gd
-        if not (M < L + gd and M >= 2 * L - 2 * D and 0 < M <= 2 * gd and L > 0):
+        if not (0 < M and self.in_pentagon(M, L)):
             return False
-        s = hyper_window(M, D)  # at most g-1, since M <= 2gd
+        s = hyper_window(M, self.D)  # at most g-1, since M <= 2gd
         bgn, m = self._hyper[s]
         if bgn.contains(M, L) or m.contains(M, L):
             return True
-        return M == 2 * s * D and L == s * D  # image of the known point (2, 1)
+        return M == 2 * s * self.D and L == s * self.D  # image of the known point (2, 1)
 
 
 @lru_cache(maxsize=None)

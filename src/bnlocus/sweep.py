@@ -18,11 +18,12 @@ integer; a sample that is not a multiple of 1/D raises.  The slopes come
 from :func:`_scaled_grid`, the rational grid built directly at scale D,
 which raises unless every denominator up to max_den divides D.  Every
 membership test then goes through the kernel of :mod:`bnlocus.regions`,
-built once per genus at scale D: the one body of each region and tile,
-which the public Fraction functions run at scale 1.  The duality sweep
-resolves the assembled region over each slope and its dual once per mode,
-as columns, and tests every sampled height against them.  Points are turned
-back into Fractions only to write a failure record.
+built once per genus at scale D, and every boundary value through its
+``BoundaryFn``: the one body of each, which the public Fraction functions
+run at scale 1.  The duality sweep resolves the assembled region over each
+slope and its dual once per mode, as columns, and tests every sampled
+height against them.  Points are turned back into Fractions only to write a
+failure record.
 """
 from __future__ import annotations
 
@@ -328,15 +329,15 @@ def verify_inclusions(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepR
 def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
     D = g * math.lcm(*range(1, max_den + 1), max(8, max_den))
     k = _IntKernel(g, D)
-    f, t, h = k.f, k.scaled(teixidor_boundary(g)), k.scaled(hyper_boundary(g))
+    f, t, h = k.f, teixidor_boundary(g), hyper_boundary(g)
     delta = D // (max(8, max_den) * g)
     modes, stabilities = list(BmnoMode), list(Stability)
 
     for M in _scaled_grid(0, 2 * g - 2, max_den, D):
-        fv, tv, hv = f.value(M), t.value(M), h.value(M)
+        fv, tv, hv = f.scaled_value(M, D), t.scaled_value(M, D), h.scaled_value(M, D)
         # graph of the assembled boundary is its own reflection
         rep.checks_run += 1
-        ref = f.value(2 * k.gd - M) + M - k.gd
+        ref = f.scaled_value(2 * k.gd - M, D) + M - k.gd
         if ref != fv:
             rep.record(f"g={g} mu={format_rat(Fraction(M, D))}", "reflection-invariant boundary",
                        f"{format_rat(Fraction(fv, D))} vs {format_rat(Fraction(ref, D))}")

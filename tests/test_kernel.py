@@ -1,15 +1,17 @@
 """The membership kernel at scale D (integers) against scale 1 (Fractions).
 
-``regions._IntKernel`` is the one body of every region and tile test.  The
-sweeps run it on integers at a common denominator D, and the public
-Fraction functions run it on their point at D = 1.  These tests hold the
-two scales together, on the grid and on every edge, corner, sliver and
-threshold column where the strict and weak inequalities differ, so a body
-that used a Fraction-only or an integer-only operation would fail here.
-The assembled region's per-slope columns, which the duality sweep reads,
-are held to its point test at the same points.  The bodies themselves are
-checked independently by the tile-union, preimage, duality and
-membership-bitmap tests.
+``regions._IntKernel`` is the one body of every region and tile test, and
+``BoundaryFn`` the one evaluator of each boundary.  The sweeps run them on
+integers at a common denominator D, and the public Fraction functions run
+them on their point at D = 1.  These tests hold the two scales together, on
+the grid and on every edge, corner, sliver and threshold column where the
+strict and weak inequalities differ, so a body that used a Fraction-only or
+an integer-only operation would fail here.  The assembled region's
+per-slope columns, which both the duality sweep and the public
+:func:`in_bmno` read, are held at scale D to :func:`in_bmno` at the same
+points, and the scaled boundary values to the pieces that own each slope.
+The bodies themselves are checked independently by the tile-union,
+preimage, duality and membership-bitmap tests.
 """
 import math
 from fractions import Fraction
@@ -54,8 +56,7 @@ def _check_regions(k, M, L):
     assert k.dual(M, L) == (dual.mu * D, dual.lam * D)
     assert Fraction(k.rho_tilde(M, L), D * D) == rho_tilde(g, p)
     for mode in BmnoMode:
-        assert k.in_bmno(M, L, mode) == in_bmno(g, p, mode), (p, mode)
-        assert k.in_bmno_col(k.bmno_column(M, mode), L) == k.in_bmno(M, L, mode), (p, mode)
+        assert k.in_bmno_col(k.bmno_column(M, mode), L) == in_bmno(g, p, mode), (p, mode)
     for stability in Stability:
         if L > 0:
             assert k.in_teixidor(M, L, stability) == in_teixidor(g, p, stability), (p, stability)
@@ -170,20 +171,27 @@ def test_kernel_tiles_match_fraction_functions(case):
 @settings(max_examples=200, deadline=None)
 @given(kernel_points())
 def test_kernel_boundary_values(case):
+    """Each boundary at scale D against the value of the piece that owns the
+    slope by its flags, and the kernel's boundary against the assembled one."""
     k, M, _ = case
     g, D = k.g, k.D
+    assert k.f is bmno_boundary(g)
     mu = Fraction(M, D)
-    if not 0 < mu < 2 * g - 2:
-        with pytest.raises(ValueError):
-            k.f.value(M)
-        return
     for fn in (bmno_boundary(g), teixidor_boundary(g), hyper_boundary(g)):
-        want = fn(mu) * D
+        if not 0 < mu < 2 * g - 2:
+            with pytest.raises(ValueError, match="outside domain"):
+                fn.scaled_bound(M, D)
+            continue
+        [owner] = [p for p in fn.pieces
+                   if p.lo < mu < p.hi or (mu == p.lo and p.include_lo) or (mu == p.hi and p.include_hi)]
+        want = owner.value_at(mu) * D
+        den, num = fn.scaled_bound(M, D)
+        assert Fraction(num, den) == want
         if want.denominator == 1:
-            assert k.scaled(fn).value(M) == want
+            assert fn.scaled_value(M, D) == want
         else:
-            with pytest.raises(ValueError):
-                k.scaled(fn).value(M)
+            with pytest.raises(ValueError, match="not an integer"):
+                fn.scaled_value(M, D)
 
 
 def test_kernel_rejects_points_off_the_denominator():

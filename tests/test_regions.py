@@ -14,6 +14,8 @@ from bnlocus.arith import (
 )
 from bnlocus.regions import (
     BmnoMode,
+    BoundaryFn,
+    Piece,
     RegionId,
     RegionKind,
     apply_t,
@@ -141,6 +143,16 @@ def test_boundary_rejects_outside_domain():
     for mu in (0, 8, -1):
         with pytest.raises(ValueError):
             f(mu)
+
+
+def test_boundary_rejects_a_breakpoint_that_is_not_an_integer():
+    # the one owner rule reads a slope's cell from its integer part
+    halves = (Piece(F(0), F(1, 2), F(1), F(0), False, True), Piece(F(1, 2), F(2), F(0), F(1, 2), False, False))
+    with pytest.raises(ValueError, match=r"^breakpoint 1/2 is not an integer$"):
+        BoundaryFn(halves, F(0), F(2))
+    with pytest.raises(ValueError, match=r"^breakpoint 1/2 is not an integer$"):
+        BoundaryFn(halves[1:], F(1, 2), F(2))
+    assert BoundaryFn((Piece(F(1), F(2), F(0), F(1), False, False),), F(1), F(2))(F(3, 2)) == 1
 
 
 def test_teixidor_boundary_continuity_and_monotone():

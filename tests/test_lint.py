@@ -1,13 +1,16 @@
 """No module imports a name that it never uses, the package defines no
-private name that nothing uses, no package module binds one top-level
-name twice, and no package module imports ``dataclasses``.
+private name and no method that nothing uses, no package module binds one
+top-level name twice, and no package module imports ``dataclasses``.
 
 No linter is installed, so this is a stdlib ``ast`` scan of the package
 modules and the tests.  An import counts as used when the name appears
 anywhere in its module as an identifier (``__init__.py`` is skipped, since
 it re-exports).  A private top-level function, class or constant of
-the package counts as used when any module names it outside its own
-definition, as an identifier, an attribute or an imported name.  A second
+the package, or a method of a package class that is not a dunder, counts
+as used when any module names it outside its own definition, as an
+identifier, an attribute or an imported name; the test modules count.  The
+check goes by name alone, so a method shares its uses with every other
+attribute of that name.  A second
 top-level binding (a def, class, assignment or import) silently shadows the
 first, so a public wrapper left above an older body of the same name would
 leave one of the two dead.  ``dataclasses`` and the ``inspect`` it loads
@@ -60,6 +63,28 @@ def _private_definitions(tree: ast.Module):
                 yield name, node
 
 
+def _definitions(tree: ast.Module):
+    """The private top-level definitions, then ("Class.method", node) for
+    each method of a top-level class whose name is not a dunder."""
+    yield from _private_definitions(tree)
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def _units(tree: ast.Module):
+    """The top-level statements, each class split into its bases, decorators
+    and body statements, so that one method's body can use another."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from node.bases + node.keywords + node.decorator_list + node.body
+        else:
+            yield node
+
+
 def _references(node: ast.AST) -> set[str]:
     out = set()
     for sub in ast.walk(node):
@@ -75,15 +100,16 @@ def _references(node: ast.AST) -> set[str]:
 def dead_private_names() -> list[str]:
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in _modules() + [ROOT / "src" / "bnlocus" / "__init__.py"]}
-    # the names each top-level statement references, so a definition's own body does not count
-    refs = [(node, _references(node)) for tree in trees.values() for node in tree.body]
+    # the names each unit references, so that a definition's own units do not count
+    refs = [(unit, _references(unit)) for tree in trees.values() for unit in _units(tree)]
     dead = []
     for path, tree in trees.items():
         if path.parent.name != "bnlocus":
             continue
-        for name, node in _private_definitions(tree):
-            if not any(name in names for other, names in refs if other is not node):
-                dead.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+        for label, node in _definitions(tree):
+            name, own = label.rsplit(".", 1)[-1], {id(sub) for sub in ast.walk(node)}
+            if not any(name in names for unit, names in refs if id(unit) not in own):
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno}: {label}")
     return sorted(dead)
 
 

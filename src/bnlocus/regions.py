@@ -96,8 +96,9 @@ class BoundaryFn(namedtuple("BoundaryFn", "pieces domain_lo domain_hi")):
     scale D is the slope M/D, and a ``Fraction`` slope is its numerator at
     the scale of its denominator.  Each piece keeps its line as integers
     (den, n, k), lam = slope*mu + intercept iff den*lam = n*mu + k, and
-    :meth:`_owner` is the one rule for which piece owns an abscissa.  No
-    ``__slots__``: those tables live in the instance's ``__dict__``.
+    :meth:`scaled_bound` holds the one rule for which piece owns an
+    abscissa.  No ``__slots__``: its table lives in the instance's
+    ``__dict__``.
     """
 
     _make = _checked_make
@@ -118,43 +119,41 @@ class BoundaryFn(namedtuple("BoundaryFn", "pieces domain_lo domain_hi")):
             if x % 1:
                 raise ValueError(f"breakpoint {x} is not an integer")
         self = _tuple_new(cls, (pieces, domain_lo, domain_hi))
-        self._lines = [_int_line(p.slope, p.intercept, 1) for p in pieces]
-        # the index of the piece owning each cell of the domain, left to right:
-        # cell 2c is the integer domain_lo + c, cell 2c+1 the open interval after it
-        self._lo = int(domain_lo)
-        self._cells = [None, *(i for i, p in enumerate(pieces)
-                               for _ in range(2 * int(p.hi - p.lo) - 1 + p.include_lo + p.include_hi)), None]
+        # the piece owning each cell of the domain, left to right, with its
+        # integer line: cell 2c is the integer domain_lo + c, cell 2c+1 the
+        # open interval after it
+        self._shift, self._cells = 2 * int(domain_lo), [None]
+        for p in pieces:
+            count = 2 * int(p.hi - p.lo) - 1 + p.include_lo + p.include_hi
+            self._cells += [(*_int_line(p.slope, p.intercept, 1), p)] * count
+        self._cells.append(None)
+        self._end = len(self._cells) - 1
         return self
 
-    def _owner(self, M, D: int) -> int:
-        """The index of the piece that owns the abscissa M/D: the one over the
-        open unit interval holding it, or the one that includes it when it is
-        a breakpoint."""
-        q, r = divmod(M, D)
-        cell = 2 * (q - self._lo) + (r > 0)
-        if not 0 < cell < len(self._cells) - 1:
+    def scaled_bound(self, M, D: int) -> tuple:
+        """The graph over the abscissa M at scale D as (den, num, piece): a
+        height L lies on or under it iff den*L <= num, and ``piece`` is the
+        piece that owns M/D: the one over the open unit interval holding it,
+        or the one that includes it when it is a breakpoint."""
+        cell = M // D - (-M // D) - self._shift  # floor plus ceiling of M/D
+        if not 0 < cell < self._end:
             raise ValueError(f"{Fraction(M, D)} outside domain ({self.domain_lo}, {self.domain_hi})")
-        return self._cells[cell]
+        den, n, k, piece = self._cells[cell]
+        return den, n * M + k * D, piece
 
     def piece_at(self, mu) -> Piece:
         mu = Fraction(mu)
-        return self.pieces[self._owner(mu.numerator, mu.denominator)]
+        return self.scaled_bound(mu.numerator, mu.denominator)[2]
 
     def __call__(self, mu) -> Fraction:
         mu = Fraction(mu)
-        den, num = self.scaled_bound(mu.numerator, mu.denominator)
+        den, num, _ = self.scaled_bound(mu.numerator, mu.denominator)
         return Fraction(num, den * mu.denominator)
-
-    def scaled_bound(self, M, D: int) -> tuple:
-        """The graph over the abscissa M at scale D as (den, num): a height L
-        lies on or under it iff den*L <= num."""
-        den, n, k = self._lines[self._owner(M, D)]
-        return den, n * M + k * D
 
     def scaled_value(self, M: int, D: int) -> int:
         """The value at the abscissa M at scale D, times D; raises unless it
         is a multiple of 1/D."""
-        den, num = self.scaled_bound(M, D)
+        den, num, _ = self.scaled_bound(M, D)
         return _exact(num, den)
 
     def breakpoints(self) -> list[Fraction]:
@@ -647,12 +646,12 @@ class _IntKernel(_IntScale):
         if stable:
             if M % D == 0:
                 return (1, self._levels[M], True, None) if M else None
-            den, num = self.f.scaled_bound(M, D)
+            den, num, _ = self.f.scaled_bound(M, D)
             return den, num, False, None
         s, corner = self._columns.get(M, (None, None))
         if M == 0:  # the seesaw's domain is open at 0
             return (1, s * D, False, None) if semistable else None
-        den, num = self.f.scaled_bound(M, D)
+        den, num, _ = self.f.scaled_bound(M, D)
         if semistable:
             return den, num if s is None else max(num, s * D * den), False, None
         if s is not None:
@@ -686,7 +685,8 @@ class _IntKernel(_IntScale):
             return False
         s = hyper_window(M, self.D)  # at most g-1, since M <= 2gd
         bgn, m = self._hyper[s]
-        if bgn.contains(M, L) or m.contains(M, L):
+        # the BGN tile ends where the M tile starts, so only one can hold M
+        if (bgn if M <= bgn.hi else m).contains(M, L):
             return True
         return M == 2 * s * self.D and L == s * self.D  # image of the known point (2, 1)
 

@@ -19,11 +19,10 @@ from :func:`_scaled_grid`, the rational grid built directly at scale D,
 which raises unless every denominator up to max_den divides D.  Every
 membership test then goes through the kernel of :mod:`bnlocus.regions`,
 built once per genus at scale D, and every boundary value through its
-``BoundaryFn``: the one body of each, which the public Fraction functions
-run at scale 1.  The duality sweep resolves the assembled region over each
-slope and its dual once per mode, as columns, and tests every sampled
-height against them.  Points are turned back into Fractions only to write a
-failure record.
+``BoundaryFn``: one body each, which the public functions run at scale 1.
+The duality sweep resolves the assembled region over each slope and its
+dual once per mode, as columns, and tests every sampled height against
+them.  Points are turned back into Fractions only to write a failure record.
 """
 from __future__ import annotations
 

@@ -185,8 +185,8 @@ def test_kernel_boundary_values(case):
         [owner] = [p for p in fn.pieces
                    if p.lo < mu < p.hi or (mu == p.lo and p.include_lo) or (mu == p.hi and p.include_hi)]
         want = owner.value_at(mu) * D
-        den, num = fn.scaled_bound(M, D)
-        assert Fraction(num, den) == want
+        den, num, piece = fn.scaled_bound(M, D)
+        assert piece is owner and Fraction(num, den) == want
         if want.denominator == 1:
             assert fn.scaled_value(M, D) == want
         else:

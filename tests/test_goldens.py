@@ -81,6 +81,17 @@ def test_polyline_golden():
     assert _digest(lines) == "8723fffb94d1e813e992aae6d2a3fe43834d04a5e9bad4c40dcbc312623fddcd"
 
 
+def test_polygon_polyline_golden():
+    """The polygon regions alone, the shifted tiles at the four (d', s) of
+    the polyline flag test: their flags already equal their membership, so
+    deriving the flags from membership leaves this digest unchanged."""
+    lines = [json.dumps(polyline_json_dict(g, parse_region_id(t)))
+             for g in range(3, 21)
+             for t in ["p", "r", "bgn", "m"] + [f"{kind}:{d}:{s}" for kind in ("tbgn", "tm")
+                                                for d, s in ((0, 1), (1, 2), (g - 2, 2), (g - 3, g - 1))]]
+    assert _digest(lines) == "caa9b332dd18584798dcb9c0a1238da5e0919e2aae98b4cae71e6cc3ba73c8ce"
+
+
 def test_boundary_pieces_and_tiles_golden():
     lines = []
     for g in range(3, 41):

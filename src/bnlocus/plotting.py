@@ -16,7 +16,6 @@ from .regions import (
     PolySegment,
     RegionId,
     RegionKind,
-    bmno_tiles,
     boundary_polyline,
 )
 
@@ -98,11 +97,6 @@ def _region_elements(vp: _Viewport, g: int, rid: RegionId) -> list[str]:
         for p, included in ((seg.start, seg.include_start), (seg.end, seg.include_end)):
             if not included and seg.include_interior:
                 circles.append(_open_circle(vp, p.mu, p.lam, color))
-    if rid.kind is RegionKind.BMNO:
-        # shifted rank-one corners are excluded from the assembled region
-        for tile in bmno_tiles(g):
-            if tile.kind == "bgn":
-                circles.append(_open_circle(vp, Fraction(tile.lo + 1), Fraction(tile.s), color))
     out.extend(dict.fromkeys(circles))
     out.append("</g>")
     return out

@@ -793,76 +793,49 @@ class PolySegment(namedtuple("PolySegment", "start end include_start include_end
         }
 
 
-def _seg(a, b, inc_a=True, inc_b=True, interior=True) -> PolySegment:
-    return PolySegment(_as_point(a), _as_point(b), inc_a, inc_b, interior)
-
-
-def _graph_segments(fn: BoundaryFn) -> list[PolySegment]:
-    return [
-        _seg((p.lo, p.value_at(p.lo)), (p.hi, p.value_at(p.hi)), p.include_lo, p.include_hi)
-        for p in fn.pieces
-    ]
-
-
-def _pentagon_segments(g: int) -> list[PolySegment]:
-    gg = Fraction(2 * g - 2)
-    return [
-        _seg((0, 0), (gg, 0), False, False, interior=False),          # lam > 0
-        _seg((0, 0), (0, 1), False, True),                            # mu >= 0 edge
-        _seg((0, 1), (gg, g), True, True),                            # Clifford edge
-        _seg((gg, g), (gg, g - 1), True, False),                      # mu <= 2g-2 edge
-        _seg((gg, g - 1), (g - 1, 0), False, False, interior=False),  # strict duality edge
-    ]
-
-
-def _half_segments(g: int) -> list[PolySegment]:
-    top = Fraction(g + 1, 2)
-    return [
-        _seg((0, 0), (g - 1, 0), False, False, interior=False),
-        _seg((0, 0), (0, 1), False, True),
-        _seg((0, 1), (g - 1, top), True, True),
-        _seg((g - 1, top), (g - 1, 0), True, False),
-    ]
-
-
-def _trapezium_segments(g: int, d_shift: int, s: int, kind: RegionKind) -> list[PolySegment]:
-    if kind in _LOW_TRAPEZIA:
-        a, b = Fraction(d_shift), Fraction(d_shift + 1)
-        lo_top = s - Fraction(s, g)  # top value at the left edge
-        return [
-            _seg((a, 0), (b, 0), False, False, interior=False),
-            _seg((a, 0), (a, lo_top), False, False, interior=False),   # strict left edge
-            _seg((a, lo_top), (b, s), False, False),                   # top; corner excluded
-            _seg((b, s), (b, 0), False, False),                        # right edge below corner
-        ]
-    a, b = Fraction(d_shift + 1), Fraction(d_shift + 2)
-    hi_top = s + Fraction(s, g)  # top value at the right edge
-    return [
-        _seg((a, 0), (b, 0), False, False, interior=False),
-        _seg((a, 0), (a, s), False, False, interior=False),
-        _seg((a, s), (b, hi_top), False, False),
-        _seg((b, hi_top), (b, s), False, False, interior=False),       # above the sliver
-        _seg((b, s), (b, 0), False, False),                            # sliver
-    ]
+def _boundary_paths(g: int, region: RegionId) -> list[list[tuple]]:
+    """A region's boundary as paths of vertices (mu, lam), each consecutive
+    pair a segment: a graph region's pieces cut at every integer slope, where
+    all its isolated points lie; a polygon's bottom edge and the rest of its
+    edges."""
+    k = region.kind
+    if k is RegionKind.BN_CURVE:
+        raise ValueError(f"no piecewise-linear boundary for region {region.token()!r}")
+    if k in _GRAPHS:
+        return [[(x, p.value_at(x)) for x in range(int(p.lo), int(p.hi) + 1)] for p in _GRAPHS[k](g).pieces]
+    if k is RegionKind.PENTAGON:
+        gg = 2 * g - 2
+        return [[(0, 0), (gg, 0)], [(0, 0), (0, 1), (gg, g), (gg, g - 1), (g - 1, 0)]]
+    if k is RegionKind.HALF:
+        return [[(0, 0), (g - 1, 0)], [(0, 0), (0, 1), (g - 1, Fraction(g + 1, 2)), (g - 1, 0)]]
+    d_shift, s = _t_params(region)
+    if k in _LOW_TRAPEZIA:
+        a, b = d_shift, d_shift + 1
+        return [[(a, 0), (b, 0)], [(a, 0), (a, s - Fraction(s, g)), (b, s), (b, 0)]]
+    a, b = d_shift + 1, d_shift + 2
+    return [[(a, 0), (b, 0)], [(a, 0), (a, s), (b, s + Fraction(s, g)), (b, s), (b, 0)]]
 
 
 def boundary_polyline(g: int, region: RegionId) -> list[PolySegment]:
     """Exact-rational boundary segments of a region, with inclusion flags.
 
-    The expected-dimension curve is not piecewise linear and is rejected;
-    plots sample it separately.
+    Each flag is :func:`region_membership` at the segment's start, end or
+    midpoint, in that function's default modes; a point with lam <= 0 counts
+    as outside.  The expected-dimension curve is not piecewise linear and is
+    rejected; plots sample it separately.
     """
     check_genus(g, 3)
-    k = region.kind
-    if k in _GRAPHS:
-        return _graph_segments(_GRAPHS[k](g))
-    if k is RegionKind.PENTAGON:
-        return _pentagon_segments(g)
-    if k is RegionKind.HALF:
-        return _half_segments(g)
-    if k is RegionKind.BN_CURVE:
-        raise ValueError(f"no piecewise-linear boundary for region {region.token()!r}")
-    return _trapezium_segments(g, *_t_params(region), k)
+
+    def member(p: BNPoint) -> bool:
+        return p.lam > 0 and region_membership(g, region, p)
+
+    segments = []
+    for path in _boundary_paths(g, region):
+        for a, b in zip(path, path[1:]):
+            a, b = _as_point(a), _as_point(b)
+            mid = BNPoint((a.mu + b.mu) / 2, (a.lam + b.lam) / 2)
+            segments.append(PolySegment(a, b, member(a), member(b), member(mid)))
+    return segments
 
 
 def polyline_json_dict(g: int, region: RegionId) -> dict:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bnlocus.plotting import PlotSpec, _Viewport, render_svg, write_plot
-from bnlocus.regions import bmno_boundary, parse_region_id, teixidor_boundary
+from bnlocus.regions import bmno_boundary, bmno_tiles, parse_region_id, region_membership, teixidor_boundary
 
 F = Fraction
 
@@ -64,6 +64,23 @@ def test_excluded_artifacts_present():
     svg = render_svg(spec_for(10, tokens=("bmno", "p")))
     assert "stroke-dasharray" in svg          # dashed excluded segments
     assert 'fill="#ffffff"/>' in svg and "<circle" in svg  # open circles
+
+
+@pytest.mark.parametrize("token, corners", [
+    # the corner of each BGN tile that is no reflected replacement
+    ("bmno", lambda g: [(t.lo + 1, t.s) for t in bmno_tiles(g) if t.kind == "bgn"]),
+    # the corner of each shifted BGN tile of the hyperelliptic region
+    ("bmnoh", lambda g: [(2 * s - 1, s) for s in range(1, g)]),
+])
+def test_excluded_corners_are_open_circles(token, corners):
+    g = 10
+    spec = spec_for(g, tokens=(token,))
+    vp = _Viewport(spec)
+    circles = {(el.get("cx"), el.get("cy")) for el in ET.fromstring(render_svg(spec)).iter()
+               if el.tag.endswith("circle") and el.get("fill") == "#ffffff"}
+    for mu, lam in corners(g):
+        assert not region_membership(g, parse_region_id(token), (mu, lam))
+        assert (f"{vp.x(mu):.6f}", f"{vp.y(lam):.6f}") in circles, (token, mu, lam)
 
 
 def test_spec_validation():

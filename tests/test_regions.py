@@ -472,18 +472,25 @@ def test_pentagon_polyline():
     assert len(dashed) == 2  # bottom edge and the strict duality edge
 
 
-@pytest.mark.parametrize("g", range(3, 13))
+# the interior points of a segment tested against its interior flag: every
+# rational of denominator at most 8 strictly between 0 and 1, as a fraction
+# of the way from its start to its end
+_INTERIOR = sorted({F(i, q) for q in range(2, 9) for i in range(1, q)})
+
+
+@pytest.mark.parametrize("g", range(3, 21))
 def test_polygon_polyline_flags_match_membership(g):
-    # the graph regions are left out: their flags give the boundary
-    # function's piece ownership, which matches no membership mode
-    tokens = ["p", "r", "bgn", "m"] + [f"{kind}:{d}:{s}" for kind in ("tbgn", "tm")
-                                       for d, s in ((0, 1), (1, 2), (g - 2, 2), (g - 3, g - 1))]
+    tokens = ["p", "r", "bgn", "m", "bmno", "teixidor", "bmnoh"] + [
+        f"{kind}:{d}:{s}" for kind in ("tbgn", "tm") for d, s in ((0, 1), (1, 2), (g - 2, 2), (g - 3, g - 1))]
     for token in tokens:
         region = parse_region_id(token)
         for seg in boundary_polyline(g, region):
-            mid = point((seg.start.mu + seg.end.mu) / 2, (seg.start.lam + seg.end.lam) / 2)
-            for p, flag in ((seg.start, seg.include_start), (mid, seg.include_interior), (seg.end, seg.include_end)):
-                assert region_membership(g, region, p) == flag, (token, seg, p)
+            interior = [point(seg.start.mu + t * (seg.end.mu - seg.start.mu),
+                              seg.start.lam + t * (seg.end.lam - seg.start.lam)) for t in _INTERIOR]
+            checks = [(seg.start, seg.include_start), (seg.end, seg.include_end)]
+            for p, flag in checks + [(q, seg.include_interior) for q in interior]:
+                # a point on or under lam = 0 is outside every region
+                assert (p.lam > 0 and region_membership(g, region, p)) == flag, (token, seg, p)
 
 
 def test_bmno_polyline_breakpoint():

@@ -59,13 +59,16 @@ def _tokens(g: int) -> list[str]:
             "bmno", "teixidor", "bmnoh"]
 
 
+# the figures and the polylines of every token were recorded again when the
+# graph regions' flags became region membership, cut at every integer slope;
+# test_polygon_polyline_golden holds the polygon regions alone unchanged
 SVG = {
-    3: "dd087566cb846be70d08c5d2a75aab87587fb31addd21719ac1fcb61162c11d3",
-    4: "383931b02edbf243cb4b8a2fafe4c71e629052f4efdb8be831e2f3c19669fccd",
-    5: "225fd0f875eef8c0ce33b960c6aa53775817c8a9b7835fb0e5684f1ed926c566",
-    10: "686b5cb0353cb8b39e6c49ec279669b7cdf1748727b19f300cf6545402a92a0e",
-    12: "ea9ac95b9eeddc8ed7947326a0882fb04b882b7d7dd62eb8550ac25925d78339",
-    13: "a356439da473d69ecab97f50169298179acafdc69881237eabc1f1bb4663ef3c",
+    3: "195a9e011062fc98efed6bfe66fdcacf7e44555b51c1dcc09f984538d3349e6f",
+    4: "1e3a40ded225fbe90cbe1c70764ae9275f18f6f00c4f9799be89e778666f75da",
+    5: "76fbccda12b359d45189f47ab2ce8cbeacf9b9b0024ad92fdc0b0657913fa439",
+    10: "59096e0bbac67a41888c3ad48a68a0a259f690c8819f5c22606960a296f9bbf1",
+    12: "a4511b5eb4b270d84d7552ca4a8624e309ec52e3d327c4ae8addd5895a06b508",
+    13: "c3d7cb4603e1eee77979180c7945a5aebcb3d6c9d1259ef880f5af336abe766b",
 }
 
 
@@ -78,7 +81,7 @@ def test_svg_golden(g):
 def test_polyline_golden():
     lines = [json.dumps(polyline_json_dict(g, parse_region_id(t)))
              for g in range(3, 21) for t in _tokens(g)]
-    assert _digest(lines) == "8723fffb94d1e813e992aae6d2a3fe43834d04a5e9bad4c40dcbc312623fddcd"
+    assert _digest(lines) == "f3e0e04213900c22db2bf81d9a440a1c2d455fba648d0a13077df6655d66bca1"
 
 
 def test_polygon_polyline_golden():

@@ -180,7 +180,17 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-_SUITES = ("prop411", "teixidor", "inclusions", "sigma", "oracle")
+_WINDOW = {"g_lo": "genus_min", "g_hi": "genus_max"}
+# suite -> (name of its sweep function, {parameter: option}), in the order
+# --suite all runs them; the function is looked up on ``sweep`` at each run,
+# since a tracer may rebind it
+_SUITES = {
+    "prop411": ("verify_prop_4_11", _WINDOW),
+    "teixidor": ("verify_teixidor_gap", _WINDOW),
+    "inclusions": ("verify_inclusions", _WINDOW | {"max_den": "max_den"}),
+    "sigma": ("verify_sigma", _WINDOW | {"max_den": "max_den"}),
+    "oracle": ("verify_oracle", {"g_lo": "genus_min", "g_max": "genus_max", "n_max": "max_rank"}),
+}
 
 
 def _given(args, **params) -> dict:
@@ -189,27 +199,12 @@ def _given(args, **params) -> dict:
     return {param: getattr(args, opt) for param, opt in params.items() if getattr(args, opt) is not None}
 
 
-def _run_suite(name: str, args) -> sweep.SweepReport:
-    if name == "oracle":
-        return sweep.verify_oracle(**_given(args, g_lo="genus_min", g_max="genus_max", n_max="max_rank"))
-    window = _given(args, g_lo="genus_min", g_hi="genus_max")
-    if name == "prop411":
-        return sweep.verify_prop_4_11(**window)
-    if name == "teixidor":
-        return sweep.verify_teixidor_gap(**window)
-    window.update(_given(args, max_den="max_den"))
-    if name == "inclusions":
-        return sweep.verify_inclusions(**window)
-    return sweep.verify_sigma(**window)
-
-
 def cmd_verify(args) -> int:
-    if args.suite in ("prop411", "teixidor", "oracle") and args.max_den is not None:
-        raise ValueError(f"--max-den does not apply to --suite {args.suite}")
-    if args.suite not in ("oracle", "all") and args.max_rank is not None:
-        raise ValueError(f"--max-rank does not apply to --suite {args.suite}")
-    names = _SUITES if args.suite == "all" else (args.suite,)
-    reports = [_run_suite(name, args) for name in names]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    for opt in ("max_den", "max_rank"):
+        if getattr(args, opt) is not None and not any(opt in _SUITES[name][1].values() for name in names):
+            raise ValueError(f"--{opt.replace('_', '-')} does not apply to --suite {args.suite}")
+    reports = [getattr(sweep, _SUITES[name][0])(**_given(args, **_SUITES[name][1])) for name in names]
     if args.out:
         _write_output(_dump_json([r.to_json_dict() for r in reports]), args.out)
     for r in reports:
@@ -283,7 +278,7 @@ def _enumerate_args(p) -> None:
 
 
 def _verify_args(p) -> None:
-    p.add_argument("--suite", choices=_SUITES + ("all",), required=True)
+    p.add_argument("--suite", choices=(*_SUITES, "all"), required=True)
     p.add_argument("--genus-min", type=int, default=None)
     p.add_argument("--genus-max", type=int, default=None)
     p.add_argument("--max-den", type=int, default=None, help="inclusions and sigma suites (all passes it to them)")

@@ -304,6 +304,50 @@ def test_cli_text_golden(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(record.encode()).hexdigest() == digest
 
 
+_PROBLEM = ("--rank", "2", "--degree", "7", "--sections", "4")
+
+# argvs whose texts argparse alone decides (an ``=``, an abbreviation, a
+# repeat, a value that starts with ``-``, a failed type or choice check, a
+# missing option, ``--``, help) or that read a padded or non-ASCII int:
+# sha256 of json.dumps([exit code, stdout, stderr]) at COLUMNS=80, recorded
+# while argparse parsed every argv.  Tuples, since some values hold spaces.
+FALLBACK_TEXTS = [
+    (("classify", "--genus=4", *_PROBLEM), "f2e069d14575bfce98cabc55e000431042678245c81fb774fc14404d09bb9018"),
+    (("classify", "--gen", "4", *_PROBLEM), "f2e069d14575bfce98cabc55e000431042678245c81fb774fc14404d09bb9018"),
+    (("classify", "--genus", "3", "--genus", "4", *_PROBLEM),
+     "f2e069d14575bfce98cabc55e000431042678245c81fb774fc14404d09bb9018"),
+    (("classify", "--genus", "４", *_PROBLEM), "f2e069d14575bfce98cabc55e000431042678245c81fb774fc14404d09bb9018"),
+    (("classify", "--genus", "4", "--rank", "2", "--degree", "-1", "--sections", "1"),
+     "49a5123caa6fec3727b096e9d51289cccaf950f3b891f0f28649e3476ced46de"),
+    (("classify", "--genus", "4", "--rank", "2", "--degree", " 4", "--sections", "1"),
+     "2b0f9499b7ce145d151a897b237e7b8f897bd52fb5aa962c1bea85b7e0d95544"),
+    (("classify", "--genus", "4", "--rank", "x", "--degree", "7", "--sections", "4"),
+     "86087c548498836bcfe023f8aead2f458fe42ce43a588dec007ebe2957143316"),
+    (("classify", "--genus", "", *_PROBLEM), "ca3ee9978b4521e6896b708263dc05f34c776973e0b3f2e05bd2ea0c7cb70fff"),
+    (("classify", "--genus", "4", *_PROBLEM, "--curve", "bogus"),
+     "91c3e653c0ca5e62ff02ead7d7d9efc24fecf70bb13177a8ec8093203d2f0a74"),
+    (("classify", "--genus", "4", *_PROBLEM, "--curve"), "a4550c1a025668c7beb5ea927fed17fb35193229978064fb041885473c3d7d62"),
+    (("classify", "--genus", "4", "--rank", "2", "--degree", "7"),
+     "bdf22e7fa3dec53ecd410a18cd6282fa672730b0173d442fb775524bcf668b77"),
+    (("classify", "--genus", "4", "--", *_PROBLEM), "3d5083d1bf33bbd9ed1358b3e60dd5735ffa295f5ca0c628d0b10a500815e5cb"),
+    (("classify", "--genus", "4", "--rank", "2", "-h"), "9ecf86ba7a6732eaee243ba8d5861dc241a566ab922d84a8f0de5276dbfd4662"),
+    (("classify", "--genus", "4", *_PROBLEM, "--json", "--json"),
+     "3b6044fe8b98c1ab78591b9e1203382f68be5a7a9390ee28a8c71cd27a489f3b"),
+    (("boundary", "--genus", "4", "--fn", "f", "--mu", "-1"), "7d3c0bf1ca15596037f9fe6329395401c888869a71cedeefc1f3d283ede9f2cb"),
+    (("verify", "--suite", "oracle", "--max-den", "2"), "f575e722203b6a77e81a15f588704aa3758f839fe1f11a4950041fa1d2130d60"),
+    (("region", "--genus", "4", "--id", "p", "--mu", "0", "--lambda", "1", "--mode", "nope"),
+     "ca933ba0ec60fa39db9ed8727ccc131f54fd740645f674175eacbda27e21f6d0"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse texts recorded under Python 3.11")
+@pytest.mark.parametrize("argv, digest", FALLBACK_TEXTS, ids=[" ".join(a) for a, _ in FALLBACK_TEXTS])
+def test_fallback_text_golden(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    record = json.dumps(list(run(capsys, *argv)))
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
+
+
 # sha256 of the indented JSON bytes each command writes, recorded while
 # ``_dump_json`` was ``json.dumps(obj, indent=2) + "\n"``: (argv, whether
 # the JSON goes to ``--out`` rather than stdout, digest).  The three

@@ -324,9 +324,67 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
     for name, (help_text, add_args) in _COMMANDS.items():
-        parser.commands[name] = sub.add_parser(name, help=help_text)
-        add_args(parser.commands[name])
+        command = parser.commands[name] = sub.add_parser(name, help=help_text)
+        add_args(command)
+        command.plain = _plain_table(command)
     return parser
+
+
+def _plain_table(command: argparse.ArgumentParser):
+    """What ``_plain`` reads of ``command``, taken from its actions: each
+    exact option string that stores one value or a constant, with its
+    action; the namespace before any option is read, as
+    ``parse_known_args`` starts it; and the required actions.  None when
+    an option has a string default and a ``type``, which argparse converts
+    when the option is not given.
+    """
+    options, defaults = {}, {}
+    for action in command._actions:
+        if isinstance(action.default, str) and action.type is not None:
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction)) and action.nargs in (None, 0):
+            options.update(dict.fromkeys(action.option_strings, action))
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults, {a for a in command._actions if a.required}
+
+
+def _plain(command: argparse.ArgumentParser, tokens: list):
+    """The namespace ``command.parse_known_args(tokens)`` returns with no
+    leftovers, when ``tokens`` are exact option strings, each followed by a
+    value that does not start with ``-`` and passes its ``type`` and
+    ``choices`` checks when it takes one, and every required option is
+    given; otherwise None, and argparse reads ``tokens``.  An option given
+    twice keeps its last value, as in argparse.
+    """
+    if command.plain is None:
+        return None
+    options, values, required = command.plain
+    values = dict(values)
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if required <= seen else None
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list):
@@ -335,12 +393,17 @@ def _parse(parser: argparse.ArgumentParser, argv: list):
     When ``argv[0]`` names a subcommand, the top-level parser would scan
     every token and then hand ``argv[1:]`` to that subcommand's parser, so
     this hands them over directly; leftover tokens are still reported by
-    the top-level parser, as ``parse_args`` reports them.  The namespace
-    then has no ``command``, which nothing reads.
+    the top-level parser, as ``parse_args`` reports them.  Plain tokens,
+    which ``_plain`` reads from the subcommand's actions, skip argparse;
+    argparse reads every other argv and writes every help, usage and error
+    text.  The namespace has no ``command``, which nothing reads.
     """
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _plain(command, argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))

@@ -1,4 +1,5 @@
 """Command-line frontend: subcommands, formats, exit codes."""
+import argparse
 import hashlib
 import json
 import subprocess
@@ -408,6 +409,79 @@ def test_shared_parser_formats_help_when_printed(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     record = json.dumps(list(run(capsys, "-h")))
     assert hashlib.sha256(record.encode()).hexdigest() == dict(CLI_TEXTS)["-h"]
+
+
+_INTS = st.one_of(st.integers(0, 30).map(str),
+                  st.sampled_from(["-1", "-30", "-0", "04", " 4", "4 ", "+4", "1_0", "", "x", "４", "٣"]))
+_STRS = st.one_of(st.sampled_from(["p", "tbgn:2:2", "13/2", "0", "", "a b", "é", "-", "-1", "-x", "-h", "--", "--id"]),
+                  st.text(max_size=3))
+
+
+def _value(action):
+    """Strategy: the tokens after ``action``'s option string, none for a flag."""
+    if action.nargs == 0:
+        return st.just([])
+    value = _INTS if action.type is int else _STRS
+    if action.choices is not None:
+        value = st.sampled_from([*action.choices, "nope", ""])
+    return value.map(lambda v: [v])
+
+
+@st.composite
+def _subcommand_argvs(draw):
+    """A subcommand and tokens built from its parser's actions: each action
+    given by an exact option string and its value, or left out, in any
+    order; then, half the time, one of them repeated, joined to its value
+    by ``=``, abbreviated, left without its value or preceded by noise."""
+    name = draw(st.sampled_from(list(build_parser().commands)))
+    command = build_parser().commands[name]
+    groups = [(a, draw(st.sampled_from(a.option_strings)), draw(_value(a)))
+              for a in draw(st.permutations([a for a in command._actions if a.dest != "help"]))
+              if draw(st.sampled_from((True, True, True, True, False)))]
+    tokens = [[opt, *value] for _, opt, value in groups]
+    if groups and draw(st.booleans()):
+        i = draw(st.integers(0, len(groups) - 1))
+        action, opt, value = groups[i]
+        tokens[i] = draw(st.sampled_from([
+            [opt, *value, opt, *draw(_value(action))], ["=".join([opt, *value])], [opt[:-1], *value], [opt],
+            ["--", opt, *value], ["-h", opt, *value], ["extra", opt, *value], ["--bogus=1", opt, *value],
+        ]))
+    return name, [t for group in tokens for t in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subcommand_argvs())
+def test_plain_parse_matches_argparse(argv):
+    name, tokens = argv
+    command = build_parser().commands[name]
+    args = cli._plain(command, tokens)
+    if args is not None:
+        namespace, extras = command.parse_known_args(tokens)
+        assert (vars(args), []) == (vars(namespace), extras)
+
+
+def test_plain_leaves_typed_string_defaults_to_argparse():
+    # argparse converts such a default when its option is not given
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--width", type=int, default="900")
+    parser.plain = cli._plain_table(parser)
+    assert cli._plain(parser, []) is None and parser.parse_known_args([])[0].width == 900
+
+
+def test_request_stream_skips_argparse(monkeypatch):
+    # every argv of the form the classify-stream benchmark sends is read
+    # from the actions, so that a change to the options cannot silently send
+    # the stream back through argparse
+    parser = build_parser()
+    command = parser.commands["classify"]
+    for curve in sorted(c.value for c in cli.CurveClass):
+        for flags in ((), ("--json",), ("--semistable",), ("--json", "--semistable")):
+            argv = ["classify", "--genus", "10", "--rank", "2", "--degree", "13", "--sections", "3",
+                    "--curve", curve, *flags]
+            want = vars(command.parse_known_args(argv[1:])[0])
+            with monkeypatch.context() as m:
+                m.setattr(command, "parse_known_args", None)
+                assert vars(cli._parse(parser, argv)) == want
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

@@ -58,21 +58,45 @@ def _encode(value, newline: str, parts: list) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            parts.append(sep)
-            _encode(item, inner, parts)
+            t = type(item)
+            if t is str:
+                parts.append(sep + _encode_str(item))
+            elif t is int:
+                parts.append(sep + int.__repr__(item))
+            else:
+                parts.append(sep)
+                _encode(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "]" if value else "[]")
-    elif t is dict and all(type(k) is str for k in value):
+    elif t is dict:
+        start = len(parts)
         inner = newline + "  "
         sep = "{" + inner
         for k, item in value.items():
-            parts.append(sep + _encode_str(k) + ": ")
-            _encode(item, inner, parts)
+            if type(k) is not str:
+                # json converts or refuses any other key, so json writes
+                # this dict
+                del parts[start:]
+                parts.append(_dumps(value, newline))
+                return
+            t = type(item)
+            if t is str:
+                parts.append(sep + _encode_str(k) + ": " + _encode_str(item))
+            elif t is int:
+                parts.append(sep + _encode_str(k) + ": " + int.__repr__(item))
+            else:
+                parts.append(sep + _encode_str(k) + ": ")
+                _encode(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "}" if value else "{}")
     else:
-        # json writes no raw newline inside a value, so this re-indents it
-        parts.append(json.dumps(value, indent=2).replace("\n", newline))
+        parts.append(_dumps(value, newline))
+
+
+def _dumps(value, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` at the depth ``newline`` indents to:
+    json writes no raw newline inside a value, so this re-indents it."""
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _write_output(text: str, out_path: str | None) -> None:

@@ -530,6 +530,7 @@ def test_dump_json_matches_json_dumps(value):
 
 @pytest.mark.parametrize("value", [
     {1, 2}, [1, {"a": object()}], {"a": ({"b": b"x"},)}, {(1, 2): 3}, {"a": {(1, 2): 3}}, [_Dict(a=[{1}])],
+    {"a": {1}, (1, 2): 3}, {"a": 1, 2: {3}},
 ])
 def test_dump_json_raises_what_json_raises(value):
     with pytest.raises(TypeError) as ours:

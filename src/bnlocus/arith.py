@@ -57,6 +57,12 @@ def format_rat(value) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
+def format_ratio(a: int, n: int) -> str:
+    """a/n as :func:`format_rat` prints it, for n >= 1, from the integers."""
+    q = math.gcd(a, n)
+    return str(a // q) if q == n else f"{a // q}/{n // q}"
+
+
 def _slot_repr(self) -> str:
     """``Name(field=value, ...)`` over the class's ``__slots__``: the repr of
     the records that are not tuples, in the form a namedtuple prints."""

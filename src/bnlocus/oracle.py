@@ -42,9 +42,12 @@ scales together.
 its evidence and derives the rest.  Every cache is bounded.
 ``_base_column`` holds the runs and evidence kinds of at most 2**11 columns,
 the least power of two at which ``verify_oracle(6, 5)`` misses no more often
-than with no bound (3,730 times).  ``_ev`` holds at most 2**14 evidence
-items, more than the 6,516 distinct ones of ``verify_oracle(6, 5)``, and
-``_tensor_thresholds`` the twist thresholds of 64 (genus, class) pairs.
+than with no bound (3,730 times).  ``_ev`` interns the rules' evidence
+items, at most 2**14 of them: more than the 1,784 distinct ones of
+``verify_oracle(6, 5)`` or the 13,980 of the g = 20, rank <= 5 table.  A
+serre item names its row's dual triple, so it is built per row and never
+interned.  ``_tensor_thresholds`` holds the twist thresholds of 64 (genus,
+class) pairs.
 """
 from __future__ import annotations
 
@@ -56,10 +59,11 @@ from functools import lru_cache
 from .arith import (
     Stability,
     Triple,
+    _tuple_new,
     check_genus,
     check_int,
     format_rat,
-    hyper_h0_bound,
+    format_ratio,
     hyper_window,
     line_degree_bound_int,
     rho,
@@ -306,13 +310,8 @@ def _rule_mercat(g, n, d, ks, c, m):
 
 
 def _shift_candidates(n: int, d: int):
-    """The at most two d' >= 0 with 0 < d - n*d' < 2n."""
-    out = []
-    for dp in range(max(0, -(-(d - 2 * n + 1) // n)), d // n + 1):
-        rem = d - n * dp
-        if 0 < rem < 2 * n:
-            out.append((dp, rem))
-    return out
+    """The at most two d' >= 0 with 0 < d - n*d' < 2n: d' < d/n and d' > d/n - 2."""
+    return [(dp, d - n * dp) for dp in range(max(0, d // n - 1), (d - 1) // n + 1)]
 
 
 @lru_cache(maxsize=64)
@@ -343,11 +342,13 @@ def _rule_tensor(g, n, d, ks, c, m):
         if rem == n >= 2 and not semistable:
             top -= 1  # the corner (n, n) is rank-one only
         shifts.append((dp, rem, top))
+    # the largest k0 at which a witness or the zero-remainder extension can fire
+    k0_max = max([top for _, _, top in shifts] + [n if semistable and d % n == 0 else 0])
     out = []
     for s, line_bound, threshold in _tensor_thresholds(g, _hyper_rules_allowed(g, c)):
         if threshold > d // n:
             break  # no shift d' exceeds d // n
-        for k0 in range(-(-lo // s), -(-(hi - 1) // s) + 1):
+        for k0 in range(-(-lo // s), min(-(-(hi - 1) // s), k0_max) + 1):
             first, stop = (k0 - 1) * s + 1, k0 * s + 1
             for dp, rem, top in shifts:
                 if dp >= threshold and k0 <= top:
@@ -426,12 +427,13 @@ def _rule_hyper_bounds(g, n, d, ks, c, m):
         return []
     if d % (2 * n) != 0 or d > (2 * g - 2) * n:
         s = hyper_window(d, n)
-        # mu < 2s, and k > hyper_h0_bound(g, s, n, d) multiplied through by g
-        first = (g * s * n + s * (d - (2 * s - 1) * n)) // g + 1
+        # mu < 2s, and k > hyper_h0_bound(g, s, n, d) = num/g
+        num = g * s * n + s * (d - (2 * s - 1) * n)
+        first = num // g + 1
         if s <= g and d < 2 * s * n and first < ks.stop:
             return [(first, ks.stop, _ev("hyper_h0_bound", "empty",
                                          "hyperelliptic section bound for slopes strictly between 2s-2 and 2s",
-                                         s=s, bound=format_rat(hyper_h0_bound(g, s, n, d))))]
+                                         s=s, bound=format_ratio(num, g)))]
         return []
     s = d // (2 * n)  # 0 <= s <= g-1
     out = []
@@ -546,6 +548,10 @@ def _check_column(g: int, n: int, d: int, c: CurveClass) -> CurveClass:
     return c
 
 
+# the kind and citation of a serre item, by whether the dual decides Empty
+_SERRE_KIND = {True: ("empty", "duality carries emptiness across the reflection"),
+               False: ("nonempty", "duality carries nonemptiness across the reflection")}
+
 # the bit of each evidence kind; per set of kinds, its verdict and the bit it gives a serre step (None: a clash)
 _KIND_BITS = {"wholespace": 1, "nonempty": 2, "empty": 4}
 _VERDICT_OF_KINDS = (Verdict.UNKNOWN, Verdict.WHOLE_SPACE, Verdict.NON_EMPTY, Verdict.WHOLE_SPACE,
@@ -631,16 +637,25 @@ def _serre_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: St
     dual_runs, dual_kinds = _base_column(g, n, dual_d, dual_lo, hi + shift, c, m)
 
     def evidence(ks: range) -> list[tuple[Evidence, ...]]:  # with the serre evidence where the dual decides
-        out = _evidence(runs, ks)
-        for i, (k, bits) in enumerate(zip(ks, dual_kinds[ks.start - lo:])):
-            if type(bits) is int and _SERRE_BIT[bits]:
-                kind = "empty" if bits == 4 else "nonempty"
-                # the runs are in rule order, so the first that covers the dual is its first evidence of the kind
-                primary = next(e.rule for first, stop, e in dual_runs
-                               if first <= k + shift < stop and (e.kind == "empty") == (kind == "empty"))
-                out[i] += (_ev("serre", kind, "duality carries emptiness across the reflection" if kind == "empty"
-                               else "duality carries nonemptiness across the reflection",
-                               dual=f"(n={n}, d={dual_d}, k={k + shift})", dual_rule=primary),)
+        out, lo_star, hi_star = _evidence(runs, ks), ks.start + shift, ks.stop + shift
+        # per row, whether the dual decides Empty (True), nonempty (False) or nothing (None); then the
+        # rule of its first evidence of that kind: the runs are in rule order, so the first that covers it
+        want = [None if type(bits) is not int or not _SERRE_BIT[bits] else bits == 4
+                for bits in dual_kinds[ks.start - lo:ks.stop - lo]]
+        primary, left = [None] * len(want), len(want) - want.count(None)
+        for first, stop, e in dual_runs:
+            if not left:
+                break
+            if first < hi_star and stop > lo_star:
+                empty = e.kind == "empty"
+                for i in range((first if first > lo_star else lo_star) - lo_star,
+                               (stop if stop < hi_star else hi_star) - lo_star):
+                    if want[i] is empty and primary[i] is None:
+                        primary[i], left = e.rule, left - 1
+        for i, rule in enumerate(primary):
+            if rule is not None:
+                out[i] += (Evidence("serre", *_SERRE_KIND[want[i]],
+                                    (("dual", f"(n={n}, d={dual_d}, k={lo_star + i})"), ("dual_rule", rule))),)
         return out
 
     out = []
@@ -656,6 +671,15 @@ def _serre_column(g: int, n: int, d: int, lo: int, hi: int, c: CurveClass, m: St
         out.append(v)
     return out, [v if type(v) is ContradictionError else (v, ev)
                  for v, ev in zip(out[rows.start - lo:], evidence(rows) if rows else ())]
+
+
+def _rows(g: int, n: int, d: int, ks: range, c: CurveClass, m: Stability, entries: list) -> list:
+    """The ``Classification`` of each (verdict, evidence) entry of ``_serre_column``'s rows, k in ks,
+    or its error.  The records are built without their checks: the caller has checked g, n, d, c
+    and m (``_check_column``), and every k of a range is an int."""
+    return [e if type(e) is ContradictionError
+            else _tuple_new(Classification, (g, _tuple_new(Triple, (n, d, k)), c, m) + e)
+            for k, e in zip(ks, entries)]
 
 
 def _table(g: int, n_max: int, c: CurveClass, m: Stability):
@@ -677,8 +701,7 @@ def _table(g: int, n_max: int, c: CurveClass, m: Stability):
         for d, (_, _, rows) in enumerate(columns):
             dual_lo, dual, _ = columns[top - d]
             first = 1 + n * (g - 1) - d - dual_lo  # the index of the dual of (n, d, 1)
-            yield n, d, [e if type(e) is ContradictionError else Classification(g, Triple(n, d, k), c, m, *e)
-                         for k, e in zip(range(1, n + d + 1), rows)], dual[first:first + n + d]
+            yield n, d, _rows(g, n, d, range(1, n + d + 1), c, m, rows), dual[first:first + n + d]
 
 
 def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClass.ARBITRARY,
@@ -691,8 +714,7 @@ def classify_column(g: int, n: int, d: int, ks: range, c: CurveClass = CurveClas
     c, m = _check_column(g, n, d, c), Stability(m)
     if ks.step != 1:
         raise ValueError(f"section counts must be a range of step 1, got {ks}")
-    return [e if type(e) is ContradictionError else Classification(g, Triple(n, d, k), c, m, *e)
-            for k, e in zip(ks, _serre_column(g, n, d, ks.start, ks.stop, c, m, ks)[1])]
+    return _rows(g, n, d, ks, c, m, _serre_column(g, n, d, ks.start, ks.stop, c, m, ks)[1])
 
 
 def classify(g: int, t: Triple, c: CurveClass = CurveClass.ARBITRARY,

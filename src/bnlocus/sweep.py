@@ -38,6 +38,7 @@ from .arith import (
     _slot_repr,
     check_genus,
     format_rat,
+    format_ratio,
     hyper_h0_bound,
     hyper_window,
     line_degree_bound_int,
@@ -448,12 +449,6 @@ _CSV_VERDICT = {v: (v.value, kind) for v, kind in (
     (Verdict.UNKNOWN, None))}
 
 
-def _ratio(a: int, n: int) -> str:
-    """a/n as :func:`format_rat` prints it, for n >= 1, from the integers."""
-    q = math.gcd(a, n)
-    return str(a // q) if q == n else f"{a // q}/{n // q}"
-
-
 def classification_csv(rows: list[Classification]) -> str:
     """RFC-4180 CSV with a header row; the rule column holds the first piece
     of evidence matching the verdict (empty for Unknown).  mu, lambda and rho
@@ -465,7 +460,7 @@ def classification_csv(rows: list[Classification]) -> str:
         verdict, want = _CSV_VERDICT[r.verdict]
         rule = next((e.rule for e in r.evidence if e.kind == want), "") if want else ""
         rho = n * n * (g - 1) + 1 - k * (k - d + n * (g - 1))  # arith.rho
-        lines.append(f"{g},{n},{d},{k},{_ratio(d, n)},{_ratio(k, n)},{verdict},{rule},{rho}")
+        lines.append(f"{g},{n},{d},{k},{format_ratio(d, n)},{format_ratio(k, n)},{verdict},{rule},{rho}")
     return "\r\n".join(lines) + "\r\n"
 
 

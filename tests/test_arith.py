@@ -14,6 +14,7 @@ from bnlocus.arith import (
     bn_curve_gap_cmp,
     check_int,
     format_rat,
+    format_ratio,
     hyper_h0_bound,
     hyper_window,
     line_degree_bound,
@@ -113,6 +114,12 @@ def test_parse_and_format():
     for bad in ("1.5", "3 / 4", "x", "1/0"):
         with pytest.raises(ValueError):
             parse_rat(bad)
+
+
+def test_integer_ratio_prints_as_format_rat():
+    for n in range(1, 13):
+        for a in range(-3 * n, 5 * n + 1):
+            assert format_ratio(a, n) == format_rat(Fraction(a, n)), (a, n)
 
 
 def test_triple_validation():

@@ -6,7 +6,9 @@ The oracle reads a rank-n triple (n, d, k) at scale D = n, where its point
 Fraction function answers on ``t.point()`` at D = 1: the Teixidor
 membership, the hyperelliptic strip and the hyperelliptic slope window.
 The Teixidor, strip and dichotomy rules give one run per stretch of k; they
-must give, at every k, the evidence of the per-k bodies kept here.
+must give, at every k, the evidence of the per-k bodies kept here.  The
+twist rule walks only the blocks of k that can fire; it must give the runs
+of the every-block body kept here.
 """
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnlocus import oracle
-from bnlocus.arith import Stability, Triple, hyper_window, serre_dual_triple
+from bnlocus.arith import Stability, Triple, format_rat, hyper_h0_bound, hyper_window, serre_dual_triple
 from bnlocus.oracle import ContradictionError, CurveClass, Verdict, classify, classify_column
 from bnlocus.regions import _IntScale, hyper_strip, in_teixidor
 from bnlocus.sweep import enumerate_classifications, verify_oracle
@@ -77,6 +79,22 @@ def test_integer_forms_match_fraction_reference(g):
 @given(st.integers(3, 40), st.integers(1, 12), st.integers(-20, 800), st.integers(-5, 200))
 def test_integer_forms_match_fraction_reference_random(g, n, d, k):
     _check_triple(g, Triple(n, d, k))
+
+
+def test_hyper_bound_item_prints_the_fraction_bound():
+    """The hyperelliptic section-bound rule writes its bound from integers;
+    it must print what the Fraction bound prints."""
+    fired = 0
+    for g in range(2, 9):
+        for n in range(1, 6):
+            for d in range(0, 2 * n * g + 1):
+                for _, _, e in oracle._rule_hyper_bounds(g, n, d, range(1, 2 * n * g), CurveClass.HYPERELLIPTIC,
+                                                        Stability.STABLE):
+                    params = dict(e.params)
+                    if e.rule == "hyper_h0_bound":
+                        fired += 1
+                        assert params["bound"] == format_rat(hyper_h0_bound(g, params["s"], n, d)), (g, n, d)
+    assert fired > 100
 
 
 def test_scaled_teixidor_rejects_nonpositive_lambda():
@@ -286,3 +304,82 @@ def test_teixidor_and_strip_columns_are_prefixes(g):
             assert strips == [_strip_by_loop(g, d, k, n) for k in ks], (n, d)
             top = strips.index(None)
             assert len(set(strips[:top])) <= 1 and not any(strips[top:]), (n, d)
+
+
+# ---------------------------------------------------------------------------
+# the twist rule against its every-block body
+# ---------------------------------------------------------------------------
+
+
+def _shifts_by_loop(n: int, d: int):
+    """The reference for ``_shift_candidates``: each d' >= 0 up to d // n, kept
+    where 0 < d - n*d' < 2n."""
+    out = []
+    for dp in range(max(0, -(-(d - 2 * n + 1) // n)), d // n + 1):
+        rem = d - n * dp
+        if 0 < rem < 2 * n:
+            out.append((dp, rem))
+    return out
+
+
+def _tensor_by_loop(g, n, d, ks, c, m):
+    """The reference for ``_rule_tensor``: every block k0 of k that meets ks,
+    for each s, whether or not a shift can fire there."""
+    lo, hi = max(ks.start, 1), ks.stop
+    if d < 0 or lo >= hi:
+        return []
+    semistable = m is Stability.SEMISTABLE
+    shifts = []
+    for dp, rem in _shifts_by_loop(n, d):
+        top = oracle._bgn_top(g, n, rem)
+        if rem == n >= 2 and not semistable:
+            top -= 1
+        shifts.append((dp, rem, top))
+    out = []
+    for s, line_bound, threshold in oracle._tensor_thresholds(g, oracle._hyper_rules_allowed(g, c)):
+        if threshold > d // n:
+            break
+        for k0 in range(-(-lo // s), -(-(hi - 1) // s) + 1):
+            first, stop = (k0 - 1) * s + 1, k0 * s + 1
+            for dp, rem, top in shifts:
+                if dp >= threshold and k0 <= top:
+                    cite = "twist by an effective line bundle" if s == 1 else \
+                        "twist by a line bundle with s independent sections"
+                    if dp < line_bound:
+                        cite += " (hyperelliptic pencil powers lower the degree threshold)"
+                    out.append((first, stop, oracle._ev("tensor_effective" if s == 1 else "tensor_sections",
+                                                        "nonempty", cite, d_shift=dp, remainder=rem, s=s, k0=k0)))
+                    if rem == n:
+                        out.append((first, stop, oracle._ev("tensor_integer_slope", "nonempty",
+                                                            "integer-slope specialization of the twisting criterion",
+                                                            d_shift=dp, s=s, k0=k0)))
+                    break
+            if semistable and d % n == 0 and k0 <= n:
+                out.append((first, stop, oracle._ev("tensor_sections_semistable", "nonempty",
+                                                    "semistable extension of the twisting criterion to zero remainder",
+                                                    d_shift=d // n, remainder=0, s=s, k0=k0)))
+    return out
+
+
+def test_shift_candidates_match_the_loop():
+    for n in range(1, 9):
+        for d in range(-2 * n, 24 * n + 1):
+            assert oracle._shift_candidates(n, d) == _shifts_by_loop(n, d), (n, d)
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_tensor_rule_walks_only_the_blocks_that_fire(g):
+    """The twist rule gives the runs of its every-block body, in the same
+    order: over rank <= 5, every degree of the table and two past its end,
+    every valid curve class and both stabilities, on the table's range R(d)
+    and on the one-k ranges at its first, middle and last k."""
+    for c in CurveClass:
+        if c is CurveClass.NON_HYPERELLIPTIC and g == 2:
+            continue
+        for m in Stability:
+            for n in range(1, 6):
+                for d in range(0, 2 * n * (g - 1) + 3):
+                    lo, hi = min(1, 1 + d - n * (g - 1)), max(n + d, n * g) + 1
+                    for ks in [range(lo, hi)] + [range(k, k + 1) for k in (lo, (lo + hi) // 2, hi - 1)]:
+                        assert oracle._rule_tensor(g, n, d, ks, c, m) == _tensor_by_loop(g, n, d, ks, c, m), \
+                            (c, m, n, d, ks)

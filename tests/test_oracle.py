@@ -434,6 +434,42 @@ def test_no_rule_gives_one_evidence_item_twice_at_one_k():
     assert (columns, overlaps) == (2130, [])
 
 
+@pytest.mark.parametrize("g", range(8, 11))
+def test_serre_item_names_the_dual_and_its_first_rule(g):
+    """Past the goldens' genera, over the rank <= 3 table of every class and
+    stability: a row has a serre item, last, exactly when its dual triple has
+    evidence before its own serre step; the item is Empty when all of that
+    evidence is, names the dual triple, and names the rule of the first item
+    of its kind there, read from the dual column's runs."""
+    for c in CurveClass:
+        for m in Stability:
+            for r in enumerate_classifications(g, 3, c, m):
+                n, dual = r.triple.n, serre_dual_triple(g, r.triple)
+                lo, hi = min(1, 1 + dual.d - n * (g - 1)), max(n + dual.d, n * g) + 1
+                runs = oracle._base_column(g, n, dual.d, lo, hi, c, m)[0]
+                (before,) = oracle._evidence(runs, range(dual.k, dual.k + 1))
+                serre = [e for e in r.evidence if e.rule == "serre"]
+                if not before:
+                    assert serre == [], r
+                    continue
+                empty = all(e.kind == "empty" for e in before)
+                first = next(e.rule for e in before if (e.kind == "empty") == empty)
+                assert serre == [r.evidence[-1]] and serre[0] == (
+                    "serre", "empty" if empty else "nonempty",
+                    f"duality carries {'emptiness' if empty else 'nonemptiness'} across the reflection",
+                    (("dual", str(dual)), ("dual_rule", first))), r
+
+
+def test_serre_items_leave_the_evidence_cache_to_the_rules():
+    """Serre items are built per row and never interned, so a large table
+    fills the evidence cache with rule items and evicts none of them."""
+    oracle._ev.cache_clear()
+    oracle._base_column.cache_clear()
+    enumerate_classifications(16, 4)
+    info = oracle._ev.cache_info()
+    assert info.misses == info.currsize < info.maxsize, info
+
+
 def test_oracle_caches_are_bounded():
     """Every lru_cache of the oracle and of the command line has a maxsize."""
     for module in (oracle, cli):

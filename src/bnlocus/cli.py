@@ -30,11 +30,12 @@ _encode_str = json.encoder.encode_basestring_ascii  # json's own string escaper,
 
 
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\n"``, byte for byte.
+    """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for the values
+    the commands write: strings, ints, bools, lists, and dicts with string
+    keys.
 
-    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the
-    dicts, lists, strings and ints the commands write are laid out here, and
-    every other value is left to ``json.dumps``.
+    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder, so these
+    are laid out here; any other value raises ``TypeError``.
     """
     parts = []
     _encode(obj, "\n", parts)
@@ -52,9 +53,7 @@ def _encode(value, newline: str, parts: list) -> None:
         parts.append(int.__repr__(value))
     elif t is bool:
         parts.append("true" if value else "false")
-    elif value is None:
-        parts.append("null")
-    elif t is list or t is tuple:
+    elif t is list:
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
@@ -69,16 +68,9 @@ def _encode(value, newline: str, parts: list) -> None:
             sep = "," + inner
         parts.append(newline + "]" if value else "[]")
     elif t is dict:
-        start = len(parts)
         inner = newline + "  "
         sep = "{" + inner
-        for k, item in value.items():
-            if type(k) is not str:
-                # json converts or refuses any other key, so json writes
-                # this dict
-                del parts[start:]
-                parts.append(_dumps(value, newline))
-                return
+        for k, item in value.items():  # _encode_str raises TypeError on a key that is not a str
             t = type(item)
             if t is str:
                 parts.append(sep + _encode_str(k) + ": " + _encode_str(item))
@@ -90,13 +82,7 @@ def _encode(value, newline: str, parts: list) -> None:
             sep = "," + inner
         parts.append(newline + "}" if value else "{}")
     else:
-        parts.append(_dumps(value, newline))
-
-
-def _dumps(value, newline: str) -> str:
-    """``json.dumps(value, indent=2)`` at the depth ``newline`` indents to:
-    json writes no raw newline inside a value, so this re-indents it."""
-    return json.dumps(value, indent=2).replace("\n", newline)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -138,6 +124,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    if args.lam is not None and args.fn != "rho":
+        raise ValueError("--lambda applies only to --fn rho")
     mu = parse_rat(args.mu)
     if args.fn == "rho":
         curve = bn_curve(args.genus, mu)
@@ -414,24 +402,14 @@ def _plain(command: argparse.ArgumentParser, tokens: list):
 def _parse(parser: argparse.ArgumentParser, argv: list):
     """``parser.parse_args(argv)``, with the same options, handler and texts.
 
-    When ``argv[0]`` names a subcommand, the top-level parser would scan
-    every token and then hand ``argv[1:]`` to that subcommand's parser, so
-    this hands them over directly; leftover tokens are still reported by
-    the top-level parser, as ``parse_args`` reports them.  Plain tokens,
-    which ``_plain`` reads from the subcommand's actions, skip argparse;
-    argparse reads every other argv and writes every help, usage and error
-    text.  The namespace has no ``command``, which nothing reads.
+    When ``argv[0]`` names a subcommand and the rest are plain tokens, which
+    ``_plain`` reads from that subcommand's actions, argparse is skipped;
+    it reads every other argv and writes every help, usage and error text.
+    The namespace ``_plain`` returns has no ``command``, which nothing reads.
     """
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _plain(command, argv[1:])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    args = None if command is None else _plain(command, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -19,16 +19,17 @@ from .regions import (
     boundary_polyline,
 )
 
-_COLORS = {
-    RegionKind.PENTAGON: "#444444",
-    RegionKind.HALF: "#666666",
-    RegionKind.BGN: "#1f77b4",
-    RegionKind.MERCAT: "#2ca02c",
-    RegionKind.T_BGN: "#1f77b4",
-    RegionKind.T_M: "#2ca02c",
-    RegionKind.BMNO: "#d62728",
-    RegionKind.TEIXIDOR: "#9467bd",
-    RegionKind.BMNO_H: "#ff7f0e",
+# region kind -> (stroke colour, legend name)
+_STYLES = {
+    RegionKind.PENTAGON: ("#444444", "pentagon"),
+    RegionKind.HALF: ("#666666", "left half"),
+    RegionKind.BGN: ("#1f77b4", "low-slope trapezium"),
+    RegionKind.MERCAT: ("#2ca02c", "mid-slope trapezium"),
+    RegionKind.T_BGN: ("#1f77b4", "shifted low-slope tile"),
+    RegionKind.T_M: ("#2ca02c", "shifted mid-slope tile"),
+    RegionKind.BMNO: ("#d62728", "assembled existence region"),
+    RegionKind.TEIXIDOR: ("#9467bd", "parallelogram region"),
+    RegionKind.BMNO_H: ("#ff7f0e", "hyperelliptic region"),
 }
 _CURVE_COLOR = "#555555"
 _MARGIN = 48.0
@@ -89,10 +90,11 @@ def _open_circle(vp: _Viewport, mu, lam, color: str) -> str:
 
 
 def _region_elements(vp: _Viewport, g: int, rid: RegionId) -> list[str]:
-    color = _COLORS.get(rid.kind, "#000000")
+    segments = boundary_polyline(g, rid)  # first: it rejects the kinds _STYLES lacks
+    color = _STYLES[rid.kind][0]
     out = [f'<g id="region-{rid.token().replace(":", "-")}">']
     circles = []
-    for seg in boundary_polyline(g, rid):
+    for seg in segments:
         out.append(_line(vp, seg, color, dashed=not seg.include_interior))
         for p, included in ((seg.start, seg.include_start), (seg.end, seg.include_end)):
             if not included and seg.include_interior:
@@ -124,7 +126,7 @@ def _frame_elements(vp: _Viewport, spec: PlotSpec) -> list[str]:
             f'y2="{_fmt(vp.y(0) + 4.0)}" stroke="#000000" stroke-width="0.8"/>'
         )
     for seg in boundary_polyline(g, RegionId(RegionKind.PENTAGON)):
-        out.append(_line(vp, seg, _COLORS[RegionKind.PENTAGON], dashed=not seg.include_interior))
+        out.append(_line(vp, seg, _STYLES[RegionKind.PENTAGON][0], dashed=not seg.include_interior))
     out.append("</g>")
     return out
 
@@ -147,29 +149,18 @@ def _curve_elements(vp: _Viewport, spec: PlotSpec) -> list[str]:
     ]
 
 
-def _legend_elements(spec: PlotSpec) -> list[str]:
-    names = {
-        RegionKind.PENTAGON: "pentagon",
-        RegionKind.HALF: "left half",
-        RegionKind.BGN: "low-slope trapezium",
-        RegionKind.MERCAT: "mid-slope trapezium",
-        RegionKind.T_BGN: "shifted low-slope tile",
-        RegionKind.T_M: "shifted mid-slope tile",
-        RegionKind.BMNO: "assembled existence region",
-        RegionKind.TEIXIDOR: "parallelogram region",
-        RegionKind.BMNO_H: "hyperelliptic region",
-    }
+def _legend_elements(spec: PlotSpec, regions: list[RegionId]) -> list[str]:
     out = ['<g id="legend" font-family="monospace" font-size="12">']
     out.append(
         f'<text x="{_fmt(_MARGIN)}" y="{_fmt(20.0)}" fill="#000000">'
         f"genus {spec.genus}</text>"
     )
     y = 36.0
-    for rid in sorted(spec.regions, key=lambda r: r.sort_key()):
-        color = _COLORS.get(rid.kind, "#000000")
+    for rid in regions:
+        color, name = _STYLES[rid.kind]
         out.append(
             f'<text x="{_fmt(_MARGIN)}" y="{_fmt(y)}" fill="{color}">'
-            f"{rid.token()}: {names.get(rid.kind, rid.token())}</text>"
+            f"{rid.token()}: {name}</text>"
         )
         y += 14.0
     out.append("</g>")
@@ -179,6 +170,7 @@ def _legend_elements(spec: PlotSpec) -> list[str]:
 def render_svg(spec: PlotSpec) -> str:
     """Render the figure as a complete SVG 1.1 document string."""
     vp = _Viewport(spec)
+    regions = sorted(set(spec.regions), key=lambda r: r.sort_key())
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -187,9 +179,9 @@ def render_svg(spec: PlotSpec) -> str:
     ]
     parts.extend(_frame_elements(vp, spec))
     parts.extend(_curve_elements(vp, spec))
-    for rid in sorted(set(spec.regions), key=lambda r: r.sort_key()):
+    for rid in regions:
         parts.extend(_region_elements(vp, spec.genus, rid))
-    parts.extend(_legend_elements(spec))
+    parts.extend(_legend_elements(spec, regions))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -336,23 +336,6 @@ def bmno_tiles(g: int) -> tuple[Tile, ...]:
     return tuple(tiles)
 
 
-# the two column tables are cached per genus like bmno_tiles; every caller
-# only reads them
-@lru_cache(maxsize=None)
-def _threshold_columns(g: int) -> dict[int, int]:
-    """Each integer rank-one threshold up to g-1, mapped to its section count:
-    0 for one section, and the right end of each reflected tile for one more
-    than the tile's level."""
-    return {0: 1} | {t.lo + 1: t.s + 1 for t in bmno_tiles(g) if t.reflected}
-
-
-@lru_cache(maxsize=None)
-def _chain_levels(g: int) -> dict[int, int]:
-    """Each integer slope 1..g-1, mapped to the level s of the tile whose
-    column ends there."""
-    return {t.lo + 1: t.s for t in bmno_tiles(g)}
-
-
 def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
     """Membership in the assembled existence region.
 
@@ -609,12 +592,14 @@ class _IntKernel(_IntScale):
         tiles = bmno_tiles(g)  # the BGN tile at 0, then the M tile at 1
         self._base = {t.base: _IntTile.of(t, scale) for t in tiles[:2]}
         self.f = bmno_boundary(g)
-        # integer slope M -> its chain level L; a threshold column M -> its
-        # section count s, and the abscissa one past it -> the height of the
+        # integer slope M -> the chain level L of the tile whose column ends
+        # there; a threshold column M -> its section count s (0 for one
+        # section, and the right end of each reflected tile for one more than
+        # its level), and the abscissa one past it -> the height of the
         # corner (threshold+1, s), in one table so that one lookup of an
         # abscissa gives (s or None, corner height or None)
-        self._levels = {a * scale: s * scale for a, s in _chain_levels(g).items()}
-        columns = {a * scale: s for a, s in _threshold_columns(g).items()}
+        self._levels = {(t.lo + 1) * scale: t.s * scale for t in tiles}
+        columns = {0: 1} | {(t.lo + 1) * scale: t.s + 1 for t in tiles if t.reflected}
         corners = {a + scale: s * scale for a, s in columns.items()}
         self._columns = {M: (columns.get(M), corners.get(M)) for M in columns.keys() | corners.keys()}
         self._hyper = [None] + [(self.shifted_tile("bgn", 2 * s - 2, s), self.shifted_tile("m", 2 * s - 2, s))

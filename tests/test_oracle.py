@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnlocus import cli, oracle
+from bnlocus import cli, oracle, regions
 from bnlocus.arith import Stability, Triple, serre_dual_triple
 from bnlocus.oracle import (
     Classification,
@@ -476,6 +476,16 @@ def test_oracle_caches_are_bounded():
         caches = {name: fn.cache_parameters()["maxsize"] for name, fn in vars(module).items()
                   if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__}
         assert caches and all(size is not None for size in caches.values()), caches
+
+
+def test_region_caches_are_bounded_or_per_genus():
+    """Every lru_cache of the regions module has a maxsize or takes the genus
+    alone, so that no input but the genus grows it."""
+    caches = {name: fn for name, fn in vars(regions).items()
+              if hasattr(fn, "cache_parameters") and fn.__module__ == regions.__name__}
+    assert caches
+    for name, fn in caches.items():
+        assert fn.cache_parameters()["maxsize"] is not None or fn.__wrapped__.__code__.co_argcount == 1, name
 
 
 def test_region_soundness_sample():

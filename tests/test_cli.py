@@ -562,6 +562,22 @@ def test_dump_json_rejects_other_types(value, name):
             assert str(exc.value) == f"Object of type {name} is not JSON serializable"
 
 
+# every value json.dumps refuses, the writer refuses too.  It checks types
+# before it descends, so it may name another offender than json does: a
+# tuple before the bytes inside it, a dict subclass before the set inside
+# it, a non-str key (which json would write) before a set value
+@pytest.mark.parametrize("value, same_message", [
+    ({1, 2}, True), ([1, {"a": object()}], True), ({"a": ({"b": b"x"},)}, False), ({(1, 2): 3}, False),
+    ({"a": {(1, 2): 3}}, False), ([_Dict(a=[{1}])], False), ({"a": {1}, (1, 2): 3}, True), ({"a": 1, 2: {3}}, False),
+], ids=[f"value{i}" for i in range(8)])
+def test_dump_json_raises_what_json_raises(value, same_message):
+    with pytest.raises(TypeError) as ours:
+        _dump_json(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert (str(ours.value) == str(theirs.value)) is same_message
+
+
 def test_unserialisable_output_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "polyline_json_dict", lambda g, rid: {"segments": [{1}]})
     assert run(capsys, "polyline", "--genus", "4", "--id", "p") == (

@@ -12,7 +12,6 @@ grids, and renders deterministic SVG figures.
 from .arith import (
     BNCurveValue,
     BNPoint,
-    Rat,
     Stability,
     Triple,
     bn_curve,
@@ -45,17 +44,13 @@ from .regions import (
     BoundaryFn,
     RegionId,
     RegionKind,
-    apply_t,
     bmno_boundary,
     bmno_tiles,
     boundary_polyline,
     hyper_boundary,
-    in_bgn,
     in_bmno,
     in_bmno_h,
     in_half_pentagon,
-    in_hyper_strips,
-    in_m,
     in_pentagon,
     in_teixidor,
     in_translated_bgn,

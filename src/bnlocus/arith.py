@@ -17,8 +17,6 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-Rat = Fraction
-
 # builds a namedtuple subclass from fields its own ``__new__`` has checked,
 # without a second pass through the generated ``__new__``
 _tuple_new = tuple.__new__

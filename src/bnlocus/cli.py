@@ -17,6 +17,7 @@ from .arith import Stability, Triple, bn_curve, format_rat, parse_rat, point
 from .oracle import Classification, ContradictionError, CurveClass, classify
 from .regions import (
     BmnoMode,
+    RegionKind,
     bmno_boundary,
     hyper_boundary,
     parse_region_id,
@@ -146,10 +147,14 @@ def cmd_boundary(args) -> int:
 
 def cmd_region(args) -> int:
     rid = parse_region_id(args.id)
+    if args.mode is not None and rid.kind is not RegionKind.BMNO:
+        raise ValueError("--mode applies only to --id bmno")
+    if args.semistable is not None and rid.kind is not RegionKind.TEIXIDOR:
+        raise ValueError("--semistable applies only to --id teixidor")
     p = point(parse_rat(args.mu), parse_rat(args.lam))
     member = region_membership(
         args.genus, rid, p,
-        mode=BmnoMode(args.mode),
+        mode=BmnoMode(args.mode or "stable"),
         stability=Stability.SEMISTABLE if args.semistable else Stability.STABLE,
     )
     if args.json:
@@ -257,8 +262,9 @@ def _region_args(p) -> None:
     p.add_argument("--id", required=True, help="p, r, bgn, m, bmno, teixidor, bmnoh, bncurve, tbgn:D:S, tm:D:S")
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mode", choices=[m.value for m in BmnoMode], default="stable")
-    p.add_argument("--semistable", action="store_true")
+    # None when not given, so that cmd_region can reject them for the other regions
+    p.add_argument("--mode", choices=[m.value for m in BmnoMode], default=None)
+    p.add_argument("--semistable", action="store_true", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_region)
 

@@ -215,7 +215,7 @@ def hyper_boundary(g: int) -> BoundaryFn:
 
 
 # ---------------------------------------------------------------------------
-# elementary regions and shift maps
+# elementary regions and the shifted and reflected tiles
 # ---------------------------------------------------------------------------
 
 
@@ -232,36 +232,18 @@ def in_half_pentagon(g: int, p) -> bool:
     return in_pentagon(g, p) and p.mu <= g - 1
 
 
-def in_bgn(g: int, p) -> bool:
-    """Slope-(0,1] trapezium: :func:`in_translated_bgn` with d' = 0, s = 1."""
-    return in_translated_bgn(g, 0, 1, p)
-
-
-def in_m(g: int, p) -> bool:
-    """Slope-(1,2) trapezium: :func:`in_translated_m` with d' = 0, s = 1."""
-    return in_translated_m(g, 0, 1, p)
-
-
-def apply_t(d_shift: int, s: int, p) -> BNPoint:
-    """Shift map (mu, lam) -> (mu + d_shift, s*lam)."""
-    if s < 1:
-        raise ValueError(f"section multiplier must be >= 1, got {s}")
-    mu, lam = _as_point(p)
-    return BNPoint(mu + d_shift, s * lam)
-
-
 def in_translated_bgn(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the BGN trapezium under T: d' < mu <= d'+1,
     0 < lam <= (s/g)(mu-d'-1)+s, minus the corner (d'+1, s)."""
     check_genus(g, 3)
-    return _unit_tile(g, "bgn", d_shift, s, False).contains(*_as_point(p))
+    return _unit_kernel(g).shifted_tile("bgn", d_shift, s).contains(*_as_point(p))
 
 
 def in_translated_m(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the M trapezium under T: open strip d'+1 < mu < d'+2 under
     the same top line, plus the sliver {(d'+2, lam): 0 < lam < s}."""
     check_genus(g, 3)
-    return _unit_tile(g, "m", d_shift, s, False).contains(*_as_point(p))
+    return _unit_kernel(g).shifted_tile("m", d_shift, s).contains(*_as_point(p))
 
 
 def u_params(g: int, d_shift: int, s: int) -> tuple[int, int]:
@@ -273,14 +255,14 @@ def in_u_bgn_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected BGN tile clipped to the left half: d1 <= mu < d1+1,
     0 < lam <= (1-s/g)(mu-d1)+s1, minus the anchor point (d1, s1)."""
     check_genus(g, 3)
-    return _unit_tile(g, "bgn", d_shift, s, True).contains(*_as_point(p))
+    return _unit_kernel(g).reflected_tile("bgn", d_shift, s).contains(*_as_point(p))
 
 
 def in_u_m_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected M tile clipped to the left half: open strip d1-1 < mu < d1
     under the same top, plus the sliver {(d1-1, lam): 0 < lam < s1-1}."""
     check_genus(g, 3)
-    return _unit_tile(g, "m", d_shift, s, True).contains(*_as_point(p))
+    return _unit_kernel(g).reflected_tile("m", d_shift, s).contains(*_as_point(p))
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +395,6 @@ def hyper_strip(g: int, mu, lam, scale: int = 1) -> tuple[int, bool] | None:
     return None
 
 
-def in_hyper_strips(g: int, p) -> bool:
-    """Union of the fully-settled hyperelliptic strips of :func:`hyper_strip`."""
-    check_genus(g, 3)
-    return hyper_strip(g, *_as_point(p)) is not None
-
-
 # ---------------------------------------------------------------------------
 # scaled-integer membership kernel
 # ---------------------------------------------------------------------------
@@ -443,9 +419,9 @@ class _IntTile:
     by its flag), 0 < L on or under the top line (den, n, k), minus the
     corner point, plus the sliver {M = sliver[0], 0 < L < sliver[1]}.
 
-    Immutable, since the kernel and ``_unit_tile`` share each tile.  A plain
-    class with slots, not a tuple: :meth:`contains` is the sweeps' inner
-    test, and slot reads are cheaper than a tuple's field reads.
+    Immutable, since every caller of a cached kernel shares its tiles.  A
+    plain class with slots, not a tuple: :meth:`contains` is the sweeps'
+    inner test, and slot reads are cheaper than a tuple's field reads.
     """
 
     __slots__ = ("lo", "hi", "lo_in", "hi_in", "line", "corner", "sliver")
@@ -683,14 +659,6 @@ def _unit_kernel(g: int) -> _IntKernel:
     three regions.  Callers check g first, so that a bad genus is reported
     before the rest of their input."""
     return _IntKernel(g, 1)
-
-
-@lru_cache(maxsize=1 << 10)
-def _unit_tile(g: int, kind: str, d_shift: int, s: int, reflected: bool) -> _IntTile:
-    """A shifted or reflected tile of the scale-1 kernel, built once per
-    (g, kind, d', s) rather than on every call of its Fraction test."""
-    kernel = _unit_kernel(g)
-    return (kernel.reflected_tile if reflected else kernel.shifted_tile)(kind, d_shift, s)
 
 
 # ---------------------------------------------------------------------------

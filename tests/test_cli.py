@@ -71,6 +71,20 @@ def test_boundary_lambda_needs_rho(capsys, fn):
         1, "", "error: --lambda applies only to --fn rho\n")
 
 
+@pytest.mark.parametrize("token, extra, message", [
+    ("p", ("--mode", "nonhyperelliptic"), "--mode applies only to --id bmno"),
+    ("p", ("--mode", "stable"), "--mode applies only to --id bmno"),  # given, though equal to the default
+    ("teixidor", ("--mode", "semistable"), "--mode applies only to --id bmno"),
+    ("bmno", ("--semistable",), "--semistable applies only to --id teixidor"),
+    ("tbgn:2:2", ("--semistable",), "--semistable applies only to --id teixidor"),
+])
+def test_region_rejects_options_it_does_not_read(capsys, token, extra, message):
+    # only bmno reads --mode and only teixidor reads --semistable, so either
+    # given with another region is a usage error, not a silent default
+    assert run(capsys, "region", "--genus", "4", "--id", token, "--mu", "1", "--lambda", "1", *extra) == (
+        1, "", f"error: {message}\n")
+
+
 def test_region_membership(capsys):
     code, out, _ = run(capsys, "region", "--genus", "10", "--id", "bmno",
                        "--mu", "13/2", "--lambda", "19/10")

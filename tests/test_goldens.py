@@ -20,11 +20,9 @@ from bnlocus.regions import (
     bmno_boundary,
     bmno_tiles,
     hyper_boundary,
-    in_bgn,
+    hyper_strip,
     in_bmno,
     in_bmno_h,
-    in_hyper_strips,
-    in_m,
     in_teixidor,
     in_translated_bgn,
     in_translated_m,
@@ -110,7 +108,8 @@ def _membership_row(g, p):
     bits = [in_bmno(g, p, mode) for mode in BmnoMode]
     if p.lam > 0:
         bits += [in_teixidor(g, p, st) for st in Stability]
-    bits += [in_bmno_h(g, p), in_hyper_strips(g, p), in_bgn(g, p), in_m(g, p)]
+    bits += [in_bmno_h(g, p), hyper_strip(g, *p) is not None,
+             in_translated_bgn(g, 0, 1, p), in_translated_m(g, 0, 1, p)]
     for d_shift, s in ((0, 1), (1, 2), (g - 2, 2), (g - 1, g - 2)):
         bits += [fn(g, d_shift, s, p) for fn in (in_translated_bgn, in_translated_m, in_u_bgn_half, in_u_m_half)]
     return "".join("1" if b else "0" for b in bits)

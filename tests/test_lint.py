@@ -1,6 +1,7 @@
 """No module imports a name that it never uses, the package defines no
 private name and no method that nothing uses, no package module binds one
-top-level name twice, and no package module imports ``dataclasses``.
+top-level name twice or makes a public alias, and no package module imports
+``dataclasses``.
 
 No linter is installed, so this is a stdlib ``ast`` scan of the package
 modules and the tests.  An import counts as used when the name appears
@@ -13,7 +14,9 @@ check goes by name alone, so a method shares its uses with every other
 attribute of that name.  A second
 top-level binding (a def, class, assignment or import) silently shadows the
 first, so a public wrapper left above an older body of the same name would
-leave one of the two dead.  ``dataclasses`` and the ``inspect`` it loads
+leave one of the two dead.  A public top-level name bound to a bare name or
+an attribute (``Rat = Fraction``) is a second public name for one object,
+so a caller has two spellings of one question.  ``dataclasses`` and the ``inspect`` it loads
 were most of the time ``import bnlocus`` took, so the records are
 namedtuples or classes with ``__slots__``.
 """
@@ -144,6 +147,28 @@ def test_no_top_level_name_bound_twice():
     package = sorted((ROOT / "src" / "bnlocus").glob("*.py"))
     assert [hit for path in package for hit in rebound_names(path)] == []
 
+
+def public_aliases(path: Path) -> list[str]:
+    """Each public top-level name that an assignment binds to a bare name or
+    an attribute, such as ``Rat = Fraction``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    hits = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, (ast.Name, ast.Attribute)):
+            hits += [f"{path.relative_to(ROOT)}:{node.lineno}: {t.id}" for t in targets
+                     if isinstance(t, ast.Name) and not t.id.startswith("_")]
+    return hits
+
+
+def test_no_public_alias():
+    package = sorted((ROOT / "src" / "bnlocus").glob("*.py"))
+    assert [hit for path in package for hit in public_aliases(path)] == []
 
 
 def dataclasses_imports(path: Path) -> list[str]:

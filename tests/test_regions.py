@@ -18,17 +18,14 @@ from bnlocus.regions import (
     Piece,
     RegionId,
     RegionKind,
-    apply_t,
     bmno_boundary,
     bmno_tiles,
     boundary_polyline,
     hyper_boundary,
-    in_bgn,
+    hyper_strip,
     in_bmno,
     in_bmno_h,
     in_half_pentagon,
-    in_hyper_strips,
-    in_m,
     in_pentagon,
     in_teixidor,
     in_translated_bgn,
@@ -63,23 +60,14 @@ def test_half_pentagon_examples():
 
 
 def test_bgn_and_m_examples():
-    assert not in_bgn(3, point(1, 1))
-    assert in_bgn(3, point(F(1, 2), F(1, 2)))
-    assert in_m(3, point(2, F(1, 2)))
-    assert not in_m(3, point(2, 1))
-    assert in_bgn(10, point(1, F(9, 10))) and not in_bgn(10, point(1, F(11, 10)))
+    assert not in_translated_bgn(3, 0, 1, point(1, 1))
+    assert in_translated_bgn(3, 0, 1, point(F(1, 2), F(1, 2)))
+    assert in_translated_m(3, 0, 1, point(2, F(1, 2)))
+    assert not in_translated_m(3, 0, 1, point(2, 1))
+    assert in_translated_bgn(10, 0, 1, point(1, F(9, 10)))
+    assert not in_translated_bgn(10, 0, 1, point(1, F(11, 10)))
     with pytest.raises(ValueError):
-        in_bgn(2, point(1, 1))
-
-
-def test_shift_maps():
-    p = point(F(1, 2), F(3, 4))
-    assert apply_t(0, 1, p) == p
-    assert apply_t(6, 2, p) == point(F(13, 2), F(3, 2))
-    for s in (1, 2, 5):
-        assert apply_t(2 * s - 2, s, point(1, 1)) == point(2 * s - 1, s)
-    with pytest.raises(ValueError):
-        apply_t(1, 0, p)
+        in_translated_bgn(2, 0, 1, point(1, 1))
 
 
 def test_translated_tiles_examples():
@@ -336,7 +324,7 @@ def test_teixidor_matches_boundary():
 
 def test_bmno_h_examples():
     assert in_bmno_h(4, point(F(7, 2), 2))
-    assert in_hyper_strips(4, point(F(7, 2), 2))
+    assert hyper_strip(4, F(7, 2), 2) is not None
     assert in_bmno_h(4, point(4, 2))          # image of the known point (2,1)
     assert not in_bmno_h(4, point(4, F(9, 4)))
     assert not in_bmno_h(4, point(3, 2))      # odd-slope corner excluded
@@ -344,10 +332,10 @@ def test_bmno_h_examples():
 
 
 def test_hyper_strips_shape():
-    assert in_hyper_strips(4, point(F(5, 2), F(3, 2)))   # dual strip: lam <= mu-s+1
-    assert not in_hyper_strips(4, point(F(5, 2), F(8, 5)))
-    assert not in_hyper_strips(4, point(3, 2))           # odd slopes excluded
-    assert in_hyper_strips(5, point(F(19, 10), 1))
+    assert hyper_strip(4, F(5, 2), F(3, 2)) is not None  # dual strip: lam <= mu-s+1
+    assert hyper_strip(4, F(5, 2), F(8, 5)) is None
+    assert hyper_strip(4, 3, 2) is None                   # odd slopes excluded
+    assert hyper_strip(5, F(19, 10), 1) is not None
 
 
 def test_bmno_h_inside_boundary():
@@ -623,7 +611,7 @@ def test_u_bgn_formula_matches_preimage(g, data):
     lam = data.draw(st.fractions(min_value=F(1, 8), max_value=g, max_denominator=8),
                     label="lam")
     p = point(mu, lam)
-    expected = in_bgn(g, _u_preimage(g, dp, s, p)) and in_half_pentagon(g, p)
+    expected = in_translated_bgn(g, 0, 1, _u_preimage(g, dp, s, p)) and in_half_pentagon(g, p)
     assert in_u_bgn_half(g, dp, s, p) == expected
 
 
@@ -641,5 +629,5 @@ def test_u_m_formula_matches_preimage(g, data):
     lam = data.draw(st.fractions(min_value=F(1, 8), max_value=g, max_denominator=8),
                     label="lam")
     p = point(mu, lam)
-    expected = in_m(g, _u_preimage(g, dp, s, p)) and in_half_pentagon(g, p)
+    expected = in_translated_m(g, 0, 1, _u_preimage(g, dp, s, p)) and in_half_pentagon(g, p)
     assert in_u_m_half(g, dp, s, p) == expected

@@ -6,6 +6,10 @@ a small window and hashes the report JSON: the failure count, the first 100
 failure records and the number of checks.  The digests were recorded before the sweeps shared one
 genus driver and one cover check, so a refactor of the sweep scaffolding
 must leave every failing report byte-identical, not only the passing ones.
+The sigma cases each break reflection symmetry on one side only: in the
+count, the stable Teixidor holes, the pentagon's clip of the hyperelliptic
+region and the hyperelliptic tiles' slivers, so a change to how sigma
+evaluates its regions must meet each fault where the point test did.
 """
 import hashlib
 import json
@@ -13,11 +17,13 @@ import json
 import pytest
 
 from bnlocus import sweep
-from bnlocus.regions import _IntKernel, _IntTile
+from bnlocus.regions import _IntKernel, _IntScale, _IntTile
 
 _shifted = _IntTile.shifted
 _reflected = _IntTile.reflected
 _kernel_rho = _IntKernel.rho_tilde
+_hole = _IntScale.teixidor_hole
+_pentagon = _IntScale.in_pentagon
 _rho = sweep.rho_tilde
 _u_params = sweep.u_params
 _hyper_h0_bound = sweep.hyper_h0_bound
@@ -59,6 +65,28 @@ def _kernel_rho_low(monkeypatch):
                         lambda self, M, L: _kernel_rho(self, M, L) - (M % self.D == 0 and M < self.gd))
 
 
+def _hole_right_only(monkeypatch):
+    # the stable Teixidor test removes no lattice point left of g-1
+    monkeypatch.setattr(_IntScale, "teixidor_hole", lambda self, M, L: M >= self.gd and _hole(self, M, L))
+
+
+def _pentagon_edge(monkeypatch):
+    # the pentagon also admits its edge M = L + gd
+    def in_pentagon(self, M, L):
+        return _pentagon(self, M, L) or (M == L + self.gd and M >= 2 * L - 2 * self.D
+                                         and 0 <= M <= 2 * self.gd and L > 0)
+    monkeypatch.setattr(_IntScale, "in_pentagon", in_pentagon)
+
+
+def _no_sliver_at_two(monkeypatch):
+    # the T-images with two sections lose their sliver, among them the
+    # hyperelliptic tiles of the window s = 2
+    def shifted(self, d, s):
+        t = _shifted(self, d, s)
+        return t if s != 2 else _IntTile(t.lo, t.hi, t.lo_in, t.hi_in, t.line, t.corner, None)
+    monkeypatch.setattr(_IntTile, "shifted", shifted)
+
+
 def _hyper_bound_low(monkeypatch):
     # the hyperelliptic section bound one too low
     monkeypatch.setattr(sweep, "hyper_h0_bound", lambda g, s, n, d: _hyper_h0_bound(g, s, n, d) - 1)
@@ -84,6 +112,12 @@ CASES = {
         "9a2708a60a76bb664a309441417544ae671112f2eb216c4f9e0c466945b5da9e"),
     "kernel-rho-sigma": (_kernel_rho_low, "sigma", (4, 6, 5), 882,
         "554445c5a1dede90119c8bdd7464d708738673f3bea85637173a0ad0846db00a"),
+    "hole-right-only-sigma": (_hole_right_only, "sigma", (4, 6, 5), 6,
+        "965d07e34c2be7f14fdcf64a92b04118aa2aaa6a7b4a0f733d6baa2a017e967b"),
+    "pentagon-edge-sigma": (_pentagon_edge, "sigma", (4, 6, 5), 9,
+        "e172400766537b798e6d80de0bc5936591512eecd8f213f0c65818fe1c67d89d"),
+    "no-sliver-at-two-sigma": (_no_sliver_at_two, "sigma", (4, 6, 5), 20,
+        "1a272ee4ec40c9f7d3018afad0b09dedc650ec4166117c9c279c7b0b9a2ae98a"),
     "hyper-bound-oracle": (_hyper_bound_low, "oracle", (4, 3), 40,
         "3ad9687c34ee844a8ab1dc35fc76bdc5728afc74763df18a09f4e1cce1d1df11"),
     "rho-prop411": (_rho_low, "prop411", (3, 8), 14,

@@ -20,11 +20,13 @@ Teixidor and hyperelliptic regions and of the four tile shapes, and
 :class:`BoundaryFn` evaluates each boundary; the same code runs on integers
 at the sweeps' common denominator D, on the oracle's triples at D = n, and
 on ``Fraction`` points at D = 1, which is all the public functions do after
-checking their input.  The assembled region is stated once, as a column over
-each abscissa: the left half's heights under one line (strictly or not)
-minus at most one point, at the abscissa and at its dual.  :func:`in_bmno`
-reads one height of it, and a sweep resolves the column of a slope once and
-tests each height against it.  :func:`hyper_strip` and :func:`hyper_window`
+checking their input.  Each body is a column: over an abscissa it takes a
+sorted list of heights and returns the ones it holds as a bit mask, by a
+range test and a bisection under each top line, less its excluded points,
+plus its slivers.  A sweep asks each region once per sampled slope; a point
+is a column of one height.  The assembled region's column is the left
+half's heights under one line (strictly or not) minus at most one point, at
+the abscissa and at its dual.  :func:`hyper_strip` and :func:`hyper_window`
 take a scale the same way.  The tile-union, preimage, duality and
 membership-bitmap tests are the independent checks of these bodies.
 
@@ -35,6 +37,7 @@ is a pure function of immutable values; region data is cached per genus.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
@@ -223,7 +226,8 @@ def in_pentagon(g: int, p) -> bool:
     """Pentagon of nontrivial problems: mu < lam+g-1, mu >= 2 lam-2,
     0 <= mu <= 2g-2, lam > 0."""
     check_genus(g)
-    return _IntScale(g, 1).in_pentagon(*_as_point(p))
+    M, L = _as_point(p)
+    return bool(_IntScale(g, 1).in_pentagon(M, [L]))
 
 
 def in_half_pentagon(g: int, p) -> bool:
@@ -236,14 +240,16 @@ def in_translated_bgn(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the BGN trapezium under T: d' < mu <= d'+1,
     0 < lam <= (s/g)(mu-d'-1)+s, minus the corner (d'+1, s)."""
     check_genus(g, 3)
-    return _unit_kernel(g).shifted_tile("bgn", d_shift, s).contains(*_as_point(p))
+    M, L = _as_point(p)
+    return bool(_unit_kernel(g).shifted_tile("bgn", d_shift, s).column(M, [L]))
 
 
 def in_translated_m(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the M trapezium under T: open strip d'+1 < mu < d'+2 under
     the same top line, plus the sliver {(d'+2, lam): 0 < lam < s}."""
     check_genus(g, 3)
-    return _unit_kernel(g).shifted_tile("m", d_shift, s).contains(*_as_point(p))
+    M, L = _as_point(p)
+    return bool(_unit_kernel(g).shifted_tile("m", d_shift, s).column(M, [L]))
 
 
 def u_params(g: int, d_shift: int, s: int) -> tuple[int, int]:
@@ -255,14 +261,16 @@ def in_u_bgn_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected BGN tile clipped to the left half: d1 <= mu < d1+1,
     0 < lam <= (1-s/g)(mu-d1)+s1, minus the anchor point (d1, s1)."""
     check_genus(g, 3)
-    return _unit_kernel(g).reflected_tile("bgn", d_shift, s).contains(*_as_point(p))
+    M, L = _as_point(p)
+    return bool(_unit_kernel(g).reflected_tile("bgn", d_shift, s).column(M, [L]))
 
 
 def in_u_m_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected M tile clipped to the left half: open strip d1-1 < mu < d1
     under the same top, plus the sliver {(d1-1, lam): 0 < lam < s1-1}."""
     check_genus(g, 3)
-    return _unit_kernel(g).reflected_tile("m", d_shift, s).contains(*_as_point(p))
+    M, L = _as_point(p)
+    return bool(_unit_kernel(g).reflected_tile("m", d_shift, s).column(M, [L]))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +341,7 @@ def in_bmno(g: int, p, mode: BmnoMode = BmnoMode.STABLE) -> bool:
     check_genus(g, 3)
     mode = BmnoMode(mode)
     M, L = _as_point(p)
-    return _IntKernel.in_bmno_col(_unit_kernel(g).bmno_column(M, mode), L)
+    return bool(_IntKernel.in_bmno_col(_unit_kernel(g).bmno_column(M, mode), [L]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +375,8 @@ def in_bmno_h(g: int, p) -> bool:
     """Hyperelliptic region: union over 1 <= s <= g-1 of the shifted
     (BGN u M u {(2,1)}) tiles, clipped to the pentagon; reflection-symmetric."""
     check_genus(g, 3)
-    return _unit_kernel(g).in_bmno_h(*_as_point(p))
+    M, L = _as_point(p)
+    return bool(_unit_kernel(g).in_bmno_h(M, [L]))
 
 
 def hyper_strip(g: int, mu, lam, scale: int = 1) -> tuple[int, bool] | None:
@@ -407,6 +416,20 @@ def _int_line(slope: Fraction, intercept: Fraction, scale: int) -> tuple[int, in
     return den, int(slope * den), int(intercept * den * scale)
 
 
+def _span(Ls, above, num, den: int = 1, strict: bool = False) -> int:
+    """The heights L of the sorted list Ls with above < L and den*L <= num
+    (den*L < num when strict), as a bit mask: bit i stands for Ls[i]."""
+    i = bisect_right(Ls, above)
+    j = (bisect_left if strict else bisect_right)(Ls, num, key=lambda L: den * L)
+    return (1 << j) - (1 << i) if i < j else 0
+
+
+def _bit(Ls, L) -> int:
+    """The bit of the height L in the sorted list Ls, 0 when it is not there."""
+    i = bisect_left(Ls, L)
+    return 1 << i if i < len(Ls) and Ls[i] == L else 0
+
+
 def _exact(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -420,8 +443,8 @@ class _IntTile:
     corner point, plus the sliver {M = sliver[0], 0 < L < sliver[1]}.
 
     Immutable, since every caller of a cached kernel shares its tiles.  A
-    plain class with slots, not a tuple: :meth:`contains` is the sweeps'
-    inner test, and slot reads are cheaper than a tuple's field reads.
+    plain class with slots, not a tuple: slot reads are cheaper than a
+    tuple's field reads.
     """
 
     __slots__ = ("lo", "hi", "lo_in", "hi_in", "line", "corner", "sliver")
@@ -444,16 +467,19 @@ class _IntTile:
             return cls(lo, hi, False, True, line, (hi, top), None)
         return cls(lo, hi, False, False, line, None, (hi, top))
 
-    def contains(self, M: int, L: int) -> bool:
-        if L <= 0:
-            return False
-        lo, hi = self.lo, self.hi
-        den, n, k = self.line
-        if ((lo < M or (self.lo_in and M == lo)) and (M < hi or (self.hi_in and M == hi))
-                and den * L <= n * M + k and (M, L) != self.corner):
-            return True
+    def column(self, M: int, Ls) -> int:
+        """The heights of the sorted list Ls over the abscissa M that lie in
+        the tile, as a bit mask: bit i stands for Ls[i]."""
+        lo, hi, bits = self.lo, self.hi, 0
+        if (lo < M or (self.lo_in and M == lo)) and (M < hi or (self.hi_in and M == hi)):
+            den, n, k = self.line
+            bits = _span(Ls, 0, n * M + k, den)
+            if self.corner is not None and M == self.corner[0]:
+                bits &= ~_bit(Ls, self.corner[1])
         sliver = self.sliver
-        return sliver is not None and M == sliver[0] and L < sliver[1]
+        if sliver is not None and M == sliver[0]:
+            bits |= _span(Ls, 0, sliver[1], strict=True)
+        return bits
 
     def top(self, M: int) -> int:
         den, n, k = self.line
@@ -481,22 +507,22 @@ class _IntTile:
                         (den, den - n, 2 * n * gd + k - den * gd), flip(self.corner), flip(self.sliver))
 
 
-def _in_column(column: tuple | None, L) -> bool:
-    """Whether the height L lies in a column (den, num, strict, hole) of
-    :meth:`_IntKernel._left_column`; None holds no height."""
+def _in_column(column: tuple | None, Ls, shift=0) -> int:
+    """The heights L of the sorted list Ls with L + shift in a column
+    (den, num, strict, hole) of :meth:`_IntKernel._left_column`, as a bit
+    mask; None holds no height."""
     if column is None:
-        return False
+        return 0
     den, num, strict, hole = column
-    # hole is tested with `is` first: a Fraction compared with None costs
-    # more than the rest of the test
-    return 0 < L and (den * L < num if strict else den * L <= num) and (hole is None or L != hole)
+    bits = _span(Ls, -shift, num - den * shift, den, strict)
+    return bits if hole is None else bits & ~_bit(Ls, hole - shift)
 
 
 class _IntScale:
     """Points (M, L) = (mu*D, lam*D) of genus g at scale D.
 
-    Holds the duality, the normalized count and the Teixidor test, which is
-    the one body of :func:`in_teixidor`: the kernel inherits it, the sweeps
+    Holds the duality, the normalized count, the pentagon's column and the
+    Teixidor test, which is the one body of :func:`in_teixidor`: the kernel inherits it, the sweeps
     run it on integers at their common denominator, the oracle reads a
     rank-n triple (n, d, k) at D = n, where its point is (d, k), and
     :func:`in_teixidor` reads a ``Fraction`` point at D = 1.  The stable test
@@ -512,9 +538,12 @@ class _IntScale:
     def dual(self, M: int, L: int) -> tuple[int, int]:
         return 2 * self.gd - M, L + self.gd - M
 
-    def in_pentagon(self, M: int, L: int) -> bool:
-        """The pentagon of nontrivial problems, the one body of :func:`in_pentagon`."""
-        return M < L + self.gd and M >= 2 * L - 2 * self.D and 0 <= M <= 2 * self.gd and L > 0
+    def in_pentagon(self, M: int, Ls) -> int:
+        """The heights of the sorted list Ls over the abscissa M in the
+        pentagon of nontrivial problems, as a bit mask: M < L + gd,
+        M >= 2L - 2D, 0 <= M <= 2gd and L > 0.  The one body of
+        :func:`in_pentagon`."""
+        return _span(Ls, max(M - self.gd, 0), M + 2 * self.D, 2) if 0 <= M <= 2 * self.gd else 0
 
     def rho_tilde(self, M: int, L: int) -> int:
         """:func:`rho_tilde` scaled by D**2."""
@@ -555,9 +584,9 @@ class _IntKernel(_IntScale):
     abscissa, the closed form over the seesaw, the chain levels and the
     threshold columns, as one line, its strictness and one excluded height.
     :meth:`bmno_column` bundles it at an abscissa and at the dual one, and
-    :meth:`in_bmno_col` tests a height against that: once for the point of
-    :func:`in_bmno`, and for many heights of one slope in a sweep.  Every
-    tile is the T- or U-image of the first BGN or M tile.
+    :meth:`in_bmno_col` reads a sorted list of heights against that: the one
+    height of :func:`in_bmno`'s point, or all the heights of one slope in a
+    sweep.  Every tile is the T- or U-image of the first BGN or M tile.
     """
 
     def __init__(self, g: int, scale: int):
@@ -634,22 +663,28 @@ class _IntKernel(_IntScale):
                 self.gd - M, corner)
 
     @staticmethod
-    def in_bmno_col(column: tuple, L: int) -> bool:
-        """Whether the height L over the abscissa of ``column``, a
-        :meth:`bmno_column`, lies in the assembled region: in the left polygon
-        at the point or at its dual, or the genus-3 point."""
+    def in_bmno_col(column: tuple, Ls) -> int:
+        """The heights of the sorted list Ls over the abscissa of ``column``,
+        a :meth:`bmno_column`, in the assembled region, as a bit mask: in the
+        left polygon at the point or at its dual, or the genus-3 point."""
         own, dual, shift, corner = column
-        return _in_column(own, L) or _in_column(dual, L + shift) or (corner is not None and L == corner)
+        bits = _in_column(own, Ls) | _in_column(dual, Ls, shift)
+        return bits if corner is None else bits | _bit(Ls, corner)
 
-    def in_bmno_h(self, M: int, L: int) -> bool:
-        if not (0 < M and self.in_pentagon(M, L)):
-            return False
-        s = hyper_window(M, self.D)  # at most g-1, since M <= 2gd
+    def in_bmno_h(self, M: int, Ls) -> int:
+        """The heights of the sorted list Ls over the abscissa M in the
+        hyperelliptic region, as a bit mask: in the BGN or M tile of the
+        window s, or the image (2s, s) of the known point (2, 1), and in
+        the pentagon."""
+        s = hyper_window(M, self.D)
+        if not 0 < s < self.g:  # the pentagon holds no height there
+            return 0
         bgn, m = self._hyper[s]
         # the BGN tile ends where the M tile starts, so only one can hold M
-        if (bgn if M <= bgn.hi else m).contains(M, L):
-            return True
-        return M == 2 * s * self.D and L == s * self.D  # image of the known point (2, 1)
+        bits = (bgn if M <= bgn.hi else m).column(M, Ls)
+        if M == 2 * s * self.D:
+            bits |= _bit(Ls, s * self.D)
+        return bits and bits & self.in_pentagon(M, Ls)
 
 
 @lru_cache(maxsize=None)

@@ -20,13 +20,19 @@ which raises unless every denominator up to max_den divides D.  Every
 membership test then goes through the kernel of :mod:`bnlocus.regions`,
 built once per genus at scale D, and every boundary value through its
 ``BoundaryFn``: one body each, which the public functions run at scale 1.
-The duality sweep resolves the assembled region over each slope and its
-dual once per mode, as columns, and tests every sampled height against
-them.  Points are turned back into Fractions only to write a failure record.
+Every region and tile is a column per sampled slope: asked once over the
+slope's whole sorted list of heights, it answers with a bit mask, and a
+point is a column of one height.  The duality sweep compares the masks at
+a slope and at its dual, check kind by check kind (the count and the
+Teixidor test stay point tests, looped over the heights), the inclusions
+sweep a fact's two tiles, and only where a check fails are the heights
+walked, in record order.  Points are turned back into Fractions only to
+write a failure record.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
 from fractions import Fraction
@@ -153,6 +159,11 @@ def _lam_samples(values, delta: int) -> list[int]:
     return sorted(out)
 
 
+def _differ(a: list, b: list, start: int = 0) -> int:
+    """The positions where two lists differ, as a bit mask, the first at bit start."""
+    return 0 if a == b else sum(1 << n for n, (x, y) in enumerate(zip(a, b), start) if x != y)
+
+
 def _point(M: int, L: int, D: int) -> BNPoint:
     """The point (M/D, L/D), for failure records."""
     return BNPoint(Fraction(M, D), Fraction(L, D))
@@ -260,15 +271,23 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
         """One check per point: each scaled slope in mus, at heights around the
         tiles' tops and the integer levels.  A fact (i, j, (a, h), expected,
         observed) says that a point of tiles[i] lies in tiles[j] or on the
-        sliver {mu = a, 0 < lam < h}; tiles[j] is tested only at the points
-        of tiles[i]."""
+        sliver {mu = a, 0 < lam < h}.  Each tile is evaluated once per slope
+        as a column over all the heights, and the heights are walked only
+        when a fact fails."""
         for M in mus:
-            for L in _lam_samples([t.top(M) for t in tiles] + [x * D for x in levels], delta):
-                rep.checks_run += 1
-                for i, j, sliver, expected, observed in facts:
-                    if (tiles[i].contains(M, L) and not tiles[j].contains(M, L)
-                            and not (sliver and M == sliver[0] * D and 0 < L < sliver[1] * D)):
-                        rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", expected, observed)
+            Ls = _lam_samples([t.top(M) for t in tiles] + [x * D for x in levels], delta)
+            rep.checks_run += len(Ls)
+            bits = [t.column(M, Ls) for t in tiles]
+            failed = []
+            for i, j, sliver, expected, observed in facts:
+                # every sampled height is above 0, so the sliver holds those below its top
+                on_sliver = (1 << bisect_left(Ls, sliver[1] * D)) - 1 if sliver and M == sliver[0] * D else 0
+                failed.append((bits[i] & ~bits[j] & ~on_sliver, expected, observed))
+            if any(fails for fails, _, _ in failed):
+                for n, L in enumerate(Ls):
+                    for fails, expected, observed in failed:
+                        if fails >> n & 1:
+                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", expected, observed)
 
     # chain: shifted-BGN inside shifted-M inside next shifted-BGN
     for s in range(1, g):
@@ -331,7 +350,8 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
     k = _IntKernel(g, D)
     f, t, h = k.f, teixidor_boundary(g), hyper_boundary(g)
     delta = D // (max(8, max_den) * g)
-    modes, stabilities = list(BmnoMode), list(Stability)
+    modes = [(f" mode={mode.value}", mode) for mode in BmnoMode]
+    stabilities = [(f" {st.value}", st) for st in Stability]
 
     for M in _scaled_grid(0, 2 * g - 2, max_den, D):
         fv, tv, hv = f.scaled_value(M, D), t.scaled_value(M, D), h.scaled_value(M, D)
@@ -343,25 +363,26 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
                        f"{format_rat(Fraction(fv, D))} vs {format_rat(Fraction(ref, D))}")
         top = -(-max(fv, tv, hv) // D)
         levels = [x * D for x in range(1, min(g, top + 2) + 1)]
-        # each mode's region over the slope and over its dual, resolved once
-        columns = [(mode, k.bmno_column(M, mode), k.bmno_column(2 * k.gd - M, mode)) for mode in modes]
-        for L in _lam_samples([fv, tv, hv] + levels, delta):
-            SM, SL = k.dual(M, L)
-            rep.checks_run += 1
-            if k.rho_tilde(M, L) != k.rho_tilde(SM, SL):
-                rep.record(f"g={g} p={_point(M, L, D)}", "rho~ invariant", "differs")
-            for mode, column, dual_column in columns:
-                rep.checks_run += 1
-                if k.in_bmno_col(column, L) != k.in_bmno_col(dual_column, SL):
-                    rep.record(f"g={g} p={_point(M, L, D)} mode={mode.value}", "membership invariant", "differs")
-            if SL > 0:
-                for st in stabilities:
-                    rep.checks_run += 1
-                    if k.in_teixidor(M, L, st) != k.in_teixidor(SM, SL, st):
-                        rep.record(f"g={g} p={_point(M, L, D)} {st.value}", "membership invariant", "differs")
-            rep.checks_run += 1
-            if k.in_bmno_h(M, L) != k.in_bmno_h(SM, SL):
-                rep.record(f"g={g} p={_point(M, L, D)}", "membership invariant", "differs")
+        # the heights over the slope and their duals over the dual slope,
+        # each region evaluated once over each column
+        Ls = _lam_samples([fv, tv, hv] + levels, delta)
+        SM, shift = k.dual(M, 0)
+        SLs = [L + shift for L in Ls]
+        pos = bisect_right(SLs, 0)  # the Teixidor test needs a dual height above 0
+        rep.checks_run += 5 * len(Ls) + 2 * (len(Ls) - pos)
+        # per check kind, in record order: its label, and the heights where it fails as a bit mask
+        failed = [("", "rho~ invariant", _differ([k.rho_tilde(M, L) for L in Ls], [k.rho_tilde(SM, L) for L in SLs]))]
+        failed += [(label, "membership invariant", k.in_bmno_col(k.bmno_column(M, mode), Ls)
+                    ^ k.in_bmno_col(k.bmno_column(SM, mode), SLs)) for label, mode in modes]
+        failed += [(label, "membership invariant", _differ([k.in_teixidor(M, L, st) for L in Ls[pos:]],
+                                                           [k.in_teixidor(SM, L, st) for L in SLs[pos:]], pos))
+                   for label, st in stabilities]
+        failed.append(("", "membership invariant", k.in_bmno_h(M, Ls) ^ k.in_bmno_h(SM, SLs)))
+        if any(fails for _, _, fails in failed):
+            for n, L in enumerate(Ls):
+                for label, expected, fails in failed:
+                    if fails >> n & 1:
+                        rep.record(f"g={g} p={_point(M, L, D)}{label}", expected, "differs")
 
 
 def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport:

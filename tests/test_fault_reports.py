@@ -72,9 +72,9 @@ def _hole_right_only(monkeypatch):
 
 def _pentagon_edge(monkeypatch):
     # the pentagon also admits its edge M = L + gd
-    def in_pentagon(self, M, L):
-        return _pentagon(self, M, L) or (M == L + self.gd and M >= 2 * L - 2 * self.D
-                                         and 0 <= M <= 2 * self.gd and L > 0)
+    def in_pentagon(self, M, Ls):
+        return _pentagon(self, M, Ls) | sum(1 << i for i, L in enumerate(Ls) if M == L + self.gd
+                                            and M >= 2 * L - 2 * self.D and 0 <= M <= 2 * self.gd and L > 0)
     monkeypatch.setattr(_IntScale, "in_pentagon", in_pentagon)
 
 

@@ -15,15 +15,17 @@ preimage, duality and membership-bitmap tests.
 """
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnlocus.arith import BNPoint, Stability, line_degree_bound_int, rho_tilde, serre_dual_point
+from bnlocus.arith import BNPoint, Stability, hyper_window, line_degree_bound_int, rho_tilde, serre_dual_point
 from bnlocus.regions import (
     BmnoMode,
     _IntKernel,
+    _unit_kernel,
     bmno_boundary,
     hyper_boundary,
     in_bmno,
@@ -56,14 +58,14 @@ def _check_regions(k, M, L):
     assert k.dual(M, L) == (dual.mu * D, dual.lam * D)
     assert Fraction(k.rho_tilde(M, L), D * D) == rho_tilde(g, p)
     for mode in BmnoMode:
-        assert k.in_bmno_col(k.bmno_column(M, mode), L) == in_bmno(g, p, mode), (p, mode)
+        assert k.in_bmno_col(k.bmno_column(M, mode), [L]) == in_bmno(g, p, mode), (p, mode)
     for stability in Stability:
         if L > 0:
             assert k.in_teixidor(M, L, stability) == in_teixidor(g, p, stability), (p, stability)
         else:
             with pytest.raises(ValueError):
                 k.in_teixidor(M, L, stability)
-    assert k.in_bmno_h(M, L) == in_bmno_h(g, p), p
+    assert k.in_bmno_h(M, [L]) == in_bmno_h(g, p), p
 
 
 def _offsets(x):
@@ -165,7 +167,7 @@ def test_kernel_tiles_match_fraction_functions(case):
     """Each tile at scale D against its Fraction function at scale 1."""
     g, D, reference, tile, d_shift, s, M, L = case
     p = BNPoint(Fraction(M, D), Fraction(L, D))
-    assert tile.contains(M, L) == reference(g, d_shift, s, p), (reference.__name__, d_shift, s, p)
+    assert tile.column(M, [L]) == reference(g, d_shift, s, p), (reference.__name__, d_shift, s, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -201,3 +203,128 @@ def test_kernel_rejects_points_off_the_denominator():
         _scaled_grid(0, 1, 9, D)
     with pytest.raises(ValueError):
         _IntKernel(4, D).shifted_tile("bgn", 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the height columns against the point bodies they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_tile(tile, M, L):
+    if L <= 0:
+        return False
+    den, n, k = tile.line
+    if ((tile.lo < M or (tile.lo_in and M == tile.lo)) and (M < tile.hi or (tile.hi_in and M == tile.hi))
+            and den * L <= n * M + k and (M, L) != tile.corner):
+        return True
+    return tile.sliver is not None and M == tile.sliver[0] and L < tile.sliver[1]
+
+
+def _ref_left(column, L):
+    if column is None:
+        return False
+    den, num, strict, hole = column
+    return 0 < L and (den * L < num if strict else den * L <= num) and L != hole
+
+
+def _ref_bmno(column, L):
+    own, dual, shift, corner = column
+    return _ref_left(own, L) or _ref_left(dual, L + shift) or L == corner
+
+
+def _ref_pentagon(k, M, L):
+    return M < L + k.gd and M >= 2 * L - 2 * k.D and 0 <= M <= 2 * k.gd and L > 0
+
+
+def _ref_bmno_h(k, M, L):
+    if not (0 < M and _ref_pentagon(k, M, L)):
+        return False
+    s = hyper_window(M, k.D)
+    bgn, m = k._hyper[s]
+    return _ref_tile(bgn if M <= bgn.hi else m, M, L) or (M == 2 * s * k.D and L == s * k.D)
+
+
+def _column(k, body, M):
+    """One height-column body of the kernel k over the abscissa M, and the
+    point body it replaced, as (heights -> bit mask, height -> bool)."""
+    kind, arg = body
+    if kind == "tile":
+        tile = getattr(k, arg[0])(*arg[1:])
+        return partial(tile.column, M), partial(_ref_tile, tile, M)
+    if kind == "bmno":
+        column = k.bmno_column(M, arg)
+        return partial(k.in_bmno_col, column), partial(_ref_bmno, column)
+    if kind == "bmno_h":
+        return partial(k.in_bmno_h, M), partial(_ref_bmno_h, k, M)
+    return partial(k.in_pentagon, M), partial(_ref_pentagon, k, M)
+
+
+def _features(k, body, M):
+    """The heights over M where the column's membership can change: 0, the
+    tiles' tops, corners and slivers, the left polygon's tops and holes at
+    the point and at the dual, where the dual height crosses 0, and the
+    pentagon's edges."""
+    kind, arg = body
+    D, out, tiles = k.D, [0], []
+    if kind == "tile":
+        tiles.append(getattr(k, arg[0])(*arg[1:]))
+    elif kind == "bmno":
+        own, dual, shift, corner = k.bmno_column(M, arg)
+        out.append(corner or 0)
+        for column, sh in ((own, 0), (dual, shift)):
+            if column is not None:
+                den, num, _, hole = column
+                out += [num // den - sh, -sh, (hole or 0) - sh]
+    else:
+        out += [M - k.gd, (M + 2 * D) // 2]
+        s = hyper_window(M, D)
+        if kind == "bmno_h" and 0 < s < k.g:
+            tiles += k._hyper[s]
+            out.append(s * D)
+    for t in tiles:
+        den, n, c = t.line
+        out += [(n * M + c) // den] + [q[1] for q in (t.corner, t.sliver) if q is not None]
+    return out
+
+
+@st.composite
+def height_columns(draw):
+    """A genus, a scale (1 on Fraction points, a rank n, or a sweep's D), one
+    of the height-column bodies, an abscissa near a lattice column, a
+    threshold, a tile end or the dual of one, and sorted distinct heights
+    1/D either side of every feature of the column, 0 and below included."""
+    g = draw(st.integers(3, 12))
+    scale = draw(st.sampled_from(("unit", "rank", "sweep")))
+    D = _denominator(g, draw(st.integers(1, 8))) if scale == "sweep" else draw(st.integers(1, 12))
+    k = _IntKernel(g, D)
+    kind = draw(st.sampled_from(("tile", "bmno", "bmno_h", "pentagon")))
+    if kind == "tile":
+        arg = (draw(st.sampled_from(("shifted_tile", "reflected_tile"))), draw(st.sampled_from(("bgn", "m"))),
+               draw(st.integers(-1, 2 * g)), draw(st.integers(1, g + 1)))
+        tile = getattr(k, arg[0])(*arg[1:])
+        anchors = [tile.lo, tile.hi]
+    else:
+        arg = draw(st.sampled_from(list(BmnoMode))) if kind == "bmno" else None
+        anchors = [line_degree_bound_int(g, draw(st.integers(1, g))) * D]
+    anchors += [draw(st.integers(-1, 2 * g - 1)) * D, draw(st.integers(-D, (2 * g - 1) * D))]
+    M = draw(st.sampled_from(anchors)) + draw(st.sampled_from((-1, 0, 0, 1)))
+    if draw(st.booleans()):
+        M = 2 * k.gd - M
+    body = (kind, arg)
+    heights = {x + d for x in _features(k, body, M) for d in (-1, 0, 1)}
+    heights |= set(draw(st.lists(st.integers(-D, (g + 1) * D), max_size=4)))
+    Ls = sorted(heights)
+    if scale == "unit":
+        k, M, Ls = _unit_kernel(g), Fraction(M, D), [Fraction(L, D) for L in Ls]
+    return k, body, M, Ls
+
+
+@settings(max_examples=500, deadline=None)
+@given(height_columns())
+def test_height_columns_match_point_bodies(case):
+    """Each height-column body over a whole sorted list of heights, against
+    the point body it replaced at each height of the list."""
+    k, body, M, Ls = case
+    column, reference = _column(k, body, M)
+    want = sum(1 << i for i, L in enumerate(Ls) if reference(L))
+    assert column(Ls) == want, (body, M, Ls)

@@ -522,10 +522,10 @@ class _IntScale:
     """Points (M, L) = (mu*D, lam*D) of genus g at scale D.
 
     Holds the duality, the normalized count, the pentagon's column and the
-    Teixidor test, which is the one body of :func:`in_teixidor`: the kernel inherits it, the sweeps
-    run it on integers at their common denominator, the oracle reads a
-    rank-n triple (n, d, k) at D = n, where its point is (d, k), and
-    :func:`in_teixidor` reads a ``Fraction`` point at D = 1.  The stable test
+    Teixidor test, which is the one body of :func:`in_teixidor`: the kernel
+    inherits it, the sweeps run it on integers at their common denominator,
+    the oracle reads a rank-n triple (n, d, k) at D = n, where its point is
+    (d, k), and :func:`in_teixidor` reads a ``Fraction`` point at D = 1.  The stable test
     is the semistable one less the lattice points :meth:`teixidor_hole`
     names, which the oracle reads to split a semistable run of k.
     """
@@ -676,15 +676,16 @@ class _IntKernel(_IntScale):
         hyperelliptic region, as a bit mask: in the BGN or M tile of the
         window s, or the image (2s, s) of the known point (2, 1), and in
         the pentagon."""
-        s = hyper_window(M, self.D)
-        if not 0 < s < self.g:  # the pentagon holds no height there
+        pentagon = self.in_pentagon(M, Ls) if 0 < M else 0
+        if not pentagon:
             return 0
+        s = hyper_window(M, self.D)  # at most g-1, since M <= 2gd
         bgn, m = self._hyper[s]
         # the BGN tile ends where the M tile starts, so only one can hold M
         bits = (bgn if M <= bgn.hi else m).column(M, Ls)
         if M == 2 * s * self.D:
             bits |= _bit(Ls, s * self.D)
-        return bits and bits & self.in_pentagon(M, Ls)
+        return bits & pentagon
 
 
 @lru_cache(maxsize=None)

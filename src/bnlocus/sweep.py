@@ -32,7 +32,7 @@ write a failure record.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from functools import partial
 from fractions import Fraction
@@ -55,6 +55,7 @@ from .regions import (
     BmnoMode,
     Piece,
     _IntKernel,
+    _span,
     bmno_boundary,
     hyper_boundary,
     in_bmno,
@@ -280,8 +281,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
             bits = [t.column(M, Ls) for t in tiles]
             failed = []
             for i, j, sliver, expected, observed in facts:
-                # every sampled height is above 0, so the sliver holds those below its top
-                on_sliver = (1 << bisect_left(Ls, sliver[1] * D)) - 1 if sliver and M == sliver[0] * D else 0
+                on_sliver = _span(Ls, 0, sliver[1] * D, strict=True) if sliver and M == sliver[0] * D else 0
                 failed.append((bits[i] & ~bits[j] & ~on_sliver, expected, observed))
             if any(fails for fails, _, _ in failed):
                 for n, L in enumerate(Ls):

@@ -160,14 +160,20 @@ def _lam_samples(values, delta: int) -> list[int]:
     return sorted(out)
 
 
-def _differ(a: list, b: list, start: int = 0) -> int:
-    """The positions where two lists differ, as a bit mask, the first at bit start."""
-    return 0 if a == b else sum(1 << n for n, (x, y) in enumerate(zip(a, b), start) if x != y)
-
-
 def _point(M: int, L: int, D: int) -> BNPoint:
     """The point (M/D, L/D), for failure records."""
     return BNPoint(Fraction(M, D), Fraction(L, D))
+
+
+def _record_column(rep: SweepReport, where: str, M: int, Ls: list[int], D: int, failed: list[tuple]) -> None:
+    """Record the failed checks over the slope M, height by height and in
+    the order of ``failed``: (heights where a check fails as a bit mask,
+    label, expected, observed)."""
+    if any(fails for fails, *_ in failed):
+        for n, L in enumerate(Ls):
+            for fails, label, expected, observed in failed:
+                if fails >> n & 1:
+                    rep.record(f"{where} p={_point(M, L, D)}{label}", expected, observed)
 
 
 def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, *bodies, hi: str = "g_hi", **params) -> SweepReport:
@@ -282,12 +288,8 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
             failed = []
             for i, j, sliver, expected, observed in facts:
                 on_sliver = _span(Ls, 0, sliver[1] * D, strict=True) if sliver and M == sliver[0] * D else 0
-                failed.append((bits[i] & ~bits[j] & ~on_sliver, expected, observed))
-            if any(fails for fails, _, _ in failed):
-                for n, L in enumerate(Ls):
-                    for fails, expected, observed in failed:
-                        if fails >> n & 1:
-                            rep.record(f"g={g} d'={dp} s={s} p={_point(M, L, D)}", expected, observed)
+                failed.append((bits[i] & ~bits[j] & ~on_sliver, "", expected, observed))
+            _record_column(rep, f"g={g} d'={dp} s={s}", M, Ls, D, failed)
 
     # chain: shifted-BGN inside shifted-M inside next shifted-BGN
     for s in range(1, g):
@@ -370,19 +372,16 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
         SLs = [L + shift for L in Ls]
         pos = bisect_right(SLs, 0)  # the Teixidor test needs a dual height above 0
         rep.checks_run += 5 * len(Ls) + 2 * (len(Ls) - pos)
-        # per check kind, in record order: its label, and the heights where it fails as a bit mask
-        failed = [("", "rho~ invariant", _differ([k.rho_tilde(M, L) for L in Ls], [k.rho_tilde(SM, L) for L in SLs]))]
-        failed += [(label, "membership invariant", k.in_bmno_col(k.bmno_column(M, mode), Ls)
-                    ^ k.in_bmno_col(k.bmno_column(SM, mode), SLs)) for label, mode in modes]
-        failed += [(label, "membership invariant", _differ([k.in_teixidor(M, L, st) for L in Ls[pos:]],
-                                                           [k.in_teixidor(SM, L, st) for L in SLs[pos:]], pos))
-                   for label, st in stabilities]
-        failed.append(("", "membership invariant", k.in_bmno_h(M, Ls) ^ k.in_bmno_h(SM, SLs)))
-        if any(fails for _, _, fails in failed):
-            for n, L in enumerate(Ls):
-                for label, expected, fails in failed:
-                    if fails >> n & 1:
-                        rep.record(f"g={g} p={_point(M, L, D)}{label}", expected, "differs")
+        # each check kind in record order, the heights where it fails as a bit mask
+        failed = [(sum(1 << n for n, L in enumerate(Ls) if k.rho_tilde(M, L) != k.rho_tilde(SM, SLs[n])),
+                   "", "rho~ invariant", "differs")]
+        failed += [(k.in_bmno_col(k.bmno_column(M, mode), Ls) ^ k.in_bmno_col(k.bmno_column(SM, mode), SLs),
+                    label, "membership invariant", "differs") for label, mode in modes]
+        failed += [(sum(1 << n for n in range(pos, len(Ls))
+                        if k.in_teixidor(M, Ls[n], st) != k.in_teixidor(SM, SLs[n], st)),
+                    label, "membership invariant", "differs") for label, st in stabilities]
+        failed.append((k.in_bmno_h(M, Ls) ^ k.in_bmno_h(SM, SLs), "", "membership invariant", "differs"))
+        _record_column(rep, f"g={g}", M, Ls, D, failed)
 
 
 def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport:

@@ -222,12 +222,17 @@ def hyper_boundary(g: int) -> BoundaryFn:
 # ---------------------------------------------------------------------------
 
 
+def _at_point(column, p) -> bool:
+    """Whether a column body holds the point p: a point is a column of one height."""
+    M, L = _as_point(p)
+    return bool(column(M, [L]))
+
+
 def in_pentagon(g: int, p) -> bool:
     """Pentagon of nontrivial problems: mu < lam+g-1, mu >= 2 lam-2,
     0 <= mu <= 2g-2, lam > 0."""
     check_genus(g)
-    M, L = _as_point(p)
-    return bool(_IntScale(g, 1).in_pentagon(M, [L]))
+    return _at_point(_IntScale(g, 1).in_pentagon, p)
 
 
 def in_half_pentagon(g: int, p) -> bool:
@@ -240,16 +245,14 @@ def in_translated_bgn(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the BGN trapezium under T: d' < mu <= d'+1,
     0 < lam <= (s/g)(mu-d'-1)+s, minus the corner (d'+1, s)."""
     check_genus(g, 3)
-    M, L = _as_point(p)
-    return bool(_unit_kernel(g).shifted_tile("bgn", d_shift, s).column(M, [L]))
+    return _at_point(_unit_kernel(g).shifted_tile("bgn", d_shift, s).column, p)
 
 
 def in_translated_m(g: int, d_shift: int, s: int, p) -> bool:
     """Image of the M trapezium under T: open strip d'+1 < mu < d'+2 under
     the same top line, plus the sliver {(d'+2, lam): 0 < lam < s}."""
     check_genus(g, 3)
-    M, L = _as_point(p)
-    return bool(_unit_kernel(g).shifted_tile("m", d_shift, s).column(M, [L]))
+    return _at_point(_unit_kernel(g).shifted_tile("m", d_shift, s).column, p)
 
 
 def u_params(g: int, d_shift: int, s: int) -> tuple[int, int]:
@@ -261,16 +264,14 @@ def in_u_bgn_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected BGN tile clipped to the left half: d1 <= mu < d1+1,
     0 < lam <= (1-s/g)(mu-d1)+s1, minus the anchor point (d1, s1)."""
     check_genus(g, 3)
-    M, L = _as_point(p)
-    return bool(_unit_kernel(g).reflected_tile("bgn", d_shift, s).column(M, [L]))
+    return _at_point(_unit_kernel(g).reflected_tile("bgn", d_shift, s).column, p)
 
 
 def in_u_m_half(g: int, d_shift: int, s: int, p) -> bool:
     """Reflected M tile clipped to the left half: open strip d1-1 < mu < d1
     under the same top, plus the sliver {(d1-1, lam): 0 < lam < s1-1}."""
     check_genus(g, 3)
-    M, L = _as_point(p)
-    return bool(_unit_kernel(g).reflected_tile("m", d_shift, s).column(M, [L]))
+    return _at_point(_unit_kernel(g).reflected_tile("m", d_shift, s).column, p)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +376,7 @@ def in_bmno_h(g: int, p) -> bool:
     """Hyperelliptic region: union over 1 <= s <= g-1 of the shifted
     (BGN u M u {(2,1)}) tiles, clipped to the pentagon; reflection-symmetric."""
     check_genus(g, 3)
-    M, L = _as_point(p)
-    return bool(_unit_kernel(g).in_bmno_h(M, [L]))
+    return _at_point(_unit_kernel(g).in_bmno_h, p)
 
 
 def hyper_strip(g: int, mu, lam, scale: int = 1) -> tuple[int, bool] | None:

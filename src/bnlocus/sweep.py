@@ -352,8 +352,6 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
     k = _IntKernel(g, D)
     f, t, h = k.f, teixidor_boundary(g), hyper_boundary(g)
     delta = D // (max(8, max_den) * g)
-    modes = [(f" mode={mode.value}", mode) for mode in BmnoMode]
-    stabilities = [(f" {st.value}", st) for st in Stability]
 
     for M in _scaled_grid(0, 2 * g - 2, max_den, D):
         fv, tv, hv = f.scaled_value(M, D), t.scaled_value(M, D), h.scaled_value(M, D)
@@ -375,11 +373,13 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
         # each check kind in record order, the heights where it fails as a bit mask
         failed = [(sum(1 << n for n, L in enumerate(Ls) if k.rho_tilde(M, L) != k.rho_tilde(SM, SLs[n])),
                    "", "rho~ invariant", "differs")]
-        failed += [(k.in_bmno_col(k.bmno_column(M, mode), Ls) ^ k.in_bmno_col(k.bmno_column(SM, mode), SLs),
-                    label, "membership invariant", "differs") for label, mode in modes]
-        failed += [(sum(1 << n for n in range(pos, len(Ls))
-                        if k.in_teixidor(M, Ls[n], st) != k.in_teixidor(SM, SLs[n], st)),
-                    label, "membership invariant", "differs") for label, st in stabilities]
+        for mode in BmnoMode:
+            failed.append((k.in_bmno_col(k.bmno_column(M, mode), Ls) ^ k.in_bmno_col(k.bmno_column(SM, mode), SLs),
+                           f" mode={mode.value}", "membership invariant", "differs"))
+        for st in Stability:
+            failed.append((sum(1 << n for n in range(pos, len(Ls))
+                               if k.in_teixidor(M, Ls[n], st) != k.in_teixidor(SM, SLs[n], st)),
+                           f" {st.value}", "membership invariant", "differs"))
         failed.append((k.in_bmno_h(M, Ls) ^ k.in_bmno_h(SM, SLs), "", "membership invariant", "differs"))
         _record_column(rep, f"g={g}", M, Ls, D, failed)
 

@@ -169,11 +169,15 @@ def _record_column(rep: SweepReport, where: str, M: int, Ls: list[int], D: int, 
     """Record the failed checks over the slope M, height by height and in
     the order of ``failed``: (heights where a check fails as a bit mask,
     label, expected, observed)."""
-    if any(fails for fails, *_ in failed):
-        for n, L in enumerate(Ls):
-            for fails, label, expected, observed in failed:
-                if fails >> n & 1:
-                    rep.record(f"{where} p={_point(M, L, D)}{label}", expected, observed)
+    for check in failed:
+        if check[0]:
+            break
+    else:
+        return
+    for n, L in enumerate(Ls):
+        for fails, label, expected, observed in failed:
+            if fails >> n & 1:
+                rep.record(f"{where} p={_point(M, L, D)}{label}", expected, observed)
 
 
 def _sweep(suite: str, g_min: int, g_lo: int, g_hi: int, *bodies, hi: str = "g_hi", **params) -> SweepReport:
@@ -281,6 +285,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
         sliver {mu = a, 0 < lam < h}.  Each tile is evaluated once per slope
         as a column over all the heights, and the heights are walked only
         when a fact fails."""
+        where = f"g={g} d'={dp} s={s}"
         for M in mus:
             Ls = _lam_samples([t.top(M) for t in tiles] + [x * D for x in levels], delta)
             rep.checks_run += len(Ls)
@@ -289,7 +294,7 @@ def _inclusions(rep: SweepReport, g: int, max_den: int) -> None:
             for i, j, sliver, expected, observed in facts:
                 on_sliver = _span(Ls, 0, sliver[1] * D, strict=True) if sliver and M == sliver[0] * D else 0
                 failed.append((bits[i] & ~bits[j] & ~on_sliver, "", expected, observed))
-            _record_column(rep, f"g={g} d'={dp} s={s}", M, Ls, D, failed)
+            _record_column(rep, where, M, Ls, D, failed)
 
     # chain: shifted-BGN inside shifted-M inside next shifted-BGN
     for s in range(1, g):
@@ -352,6 +357,9 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
     k = _IntKernel(g, D)
     f, t, h = k.f, teixidor_boundary(g), hyper_boundary(g)
     delta = D // (max(8, max_den) * g)
+    where = f"g={g}"
+    modes = [(f" mode={mode.value}", mode) for mode in BmnoMode]
+    stabilities = [(f" {st.value}", st) for st in Stability]
 
     for M in _scaled_grid(0, 2 * g - 2, max_den, D):
         fv, tv, hv = f.scaled_value(M, D), t.scaled_value(M, D), h.scaled_value(M, D)
@@ -373,15 +381,15 @@ def _sigma(rep: SweepReport, g: int, max_den: int) -> None:
         # each check kind in record order, the heights where it fails as a bit mask
         failed = [(sum(1 << n for n, L in enumerate(Ls) if k.rho_tilde(M, L) != k.rho_tilde(SM, SLs[n])),
                    "", "rho~ invariant", "differs")]
-        for mode in BmnoMode:
+        for label, mode in modes:
             failed.append((k.in_bmno_col(k.bmno_column(M, mode), Ls) ^ k.in_bmno_col(k.bmno_column(SM, mode), SLs),
-                           f" mode={mode.value}", "membership invariant", "differs"))
-        for st in Stability:
+                           label, "membership invariant", "differs"))
+        for label, st in stabilities:
             failed.append((sum(1 << n for n in range(pos, len(Ls))
                                if k.in_teixidor(M, Ls[n], st) != k.in_teixidor(SM, SLs[n], st)),
-                           f" {st.value}", "membership invariant", "differs"))
+                           label, "membership invariant", "differs"))
         failed.append((k.in_bmno_h(M, Ls) ^ k.in_bmno_h(SM, SLs), "", "membership invariant", "differs"))
-        _record_column(rep, f"g={g}", M, Ls, D, failed)
+        _record_column(rep, where, M, Ls, D, failed)
 
 
 def verify_sigma(g_lo: int = 4, g_hi: int = 20, max_den: int = 8) -> SweepReport:

@@ -10,8 +10,11 @@ an integer-only operation would fail here.  The assembled region's
 per-slope columns, which both the duality sweep and the public
 :func:`in_bmno` read, are held at scale D to :func:`in_bmno` at the same
 points, and the scaled boundary values to the pieces that own each slope.
-The bodies themselves are checked independently by the tile-union,
-preimage, duality and membership-bitmap tests.
+Each body is a column over a sorted list of heights, and a point is a
+column of one height; the last test holds each column over a whole list,
+at scale 1, n and D, to the point body it replaced, kept here as the
+reference.  The bodies themselves are checked independently by the
+tile-union, preimage, duality and membership-bitmap tests.
 """
 import math
 from fractions import Fraction
